@@ -14,7 +14,7 @@
 #include "exp/multicore.hpp"
 #include "exp/report.hpp"
 #include "exp/spot_study.hpp"
-#include "scheduling/baselines.hpp"
+#include "scheduling/factory.hpp"
 #include "util/strings.hpp"
 
 int main() {

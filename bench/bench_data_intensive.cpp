@@ -8,7 +8,7 @@
 #include "adaptive/advisor.hpp"
 #include "exp/pareto_front.hpp"
 #include "exp/report.hpp"
-#include "scheduling/baselines.hpp"
+#include "scheduling/factory.hpp"
 
 int main() {
   using namespace cloudwf;

@@ -29,6 +29,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "dist/coordinator.hpp"
 #include "exp/sweep_grid.hpp"
 #include "scheduling/factory.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -96,21 +98,27 @@ int main(int argc, char** argv) {
   std::size_t reps = 3;
   std::uint64_t remote_ms = 60;
   std::string json_path;
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg == "--seeds" && a + 1 < argc) {
-      seeds = std::stoull(argv[++a]);
-    } else if (arg == "--reps" && a + 1 < argc) {
-      reps = std::stoul(argv[++a]);
-    } else if (arg == "--remote-ms" && a + 1 < argc) {
-      remote_ms = std::stoull(argv[++a]);
-    } else if (arg == "--json" && a + 1 < argc) {
-      json_path = argv[++a];
-    } else {
-      std::cerr << "usage: bench_distributed [--seeds N] [--reps N] "
-                   "[--remote-ms D] [--json FILE]\n";
-      return 2;
+  using cloudwf::util::parse_u64;
+  try {
+    for (int a = 1; a < argc; ++a) {
+      const std::string arg = argv[a];
+      if (arg == "--seeds" && a + 1 < argc) {
+        seeds = parse_u64(argv[++a], "--seeds");
+      } else if (arg == "--reps" && a + 1 < argc) {
+        reps = cloudwf::util::parse_size(argv[++a], "--reps");
+      } else if (arg == "--remote-ms" && a + 1 < argc) {
+        remote_ms = parse_u64(argv[++a], "--remote-ms");
+      } else if (arg == "--json" && a + 1 < argc) {
+        json_path = argv[++a];
+      } else {
+        std::cerr << "usage: bench_distributed [--seeds N] [--reps N] "
+                     "[--remote-ms D] [--json FILE]\n";
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
   }
   if (seeds == 0) seeds = 1;
   if (reps == 0) reps = 1;

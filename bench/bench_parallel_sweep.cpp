@@ -19,11 +19,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/parallel.hpp"
 #include "exp/seed_sweep.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -40,19 +42,13 @@ int main(int argc, char** argv) {
       json_path = argv[++a];
       continue;
     }
-    std::size_t parsed = 0;
     try {
-      parsed = std::stoul(arg);
-    } catch (const std::exception&) {
-      parsed = 0;
-    }
-    if (parsed == 0) {
-      std::cerr << "usage: bench_parallel_sweep [seeds>=1] [--json FILE]  "
-                   "(got '"
-                << arg << "')\n";
+      seeds = util::parse_size(arg, "seeds", 1);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what()
+                << "\nusage: bench_parallel_sweep [seeds>=1] [--json FILE]\n";
       return EXIT_FAILURE;
     }
-    seeds = parsed;
   }
   const dag::Workflow montage = exp::paper_workflows()[0];
   const cloud::Platform platform = cloud::Platform::ec2();

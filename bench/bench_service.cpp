@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "svc/http.hpp"
 #include "svc/server.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -117,27 +119,24 @@ int main(int argc, char** argv) {
   std::size_t workers = 4;
   std::size_t concurrency = 8;
   std::string json_path;
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg == "--json" && a + 1 < argc) {
-      json_path = argv[++a];
-    } else if (arg == "--workers" && a + 1 < argc) {
-      workers = std::stoul(argv[++a]);
-    } else if (arg == "--concurrency" && a + 1 < argc) {
-      concurrency = std::stoul(argv[++a]);
-    } else {
-      std::size_t parsed = 0;
-      try {
-        parsed = std::stoul(arg);
-      } catch (const std::exception&) {
+  try {
+    for (int a = 1; a < argc; ++a) {
+      const std::string arg = argv[a];
+      if (arg == "--json" && a + 1 < argc) {
+        json_path = argv[++a];
+      } else if (arg == "--workers" && a + 1 < argc) {
+        workers = cloudwf::util::parse_size(argv[++a], "--workers", 1);
+      } else if (arg == "--concurrency" && a + 1 < argc) {
+        concurrency = cloudwf::util::parse_size(argv[++a], "--concurrency", 1);
+      } else {
+        requests = cloudwf::util::parse_size(arg, "requests", 1);
       }
-      if (parsed == 0) {
-        std::cerr << "usage: bench_service [requests>=1] [--workers N] "
-                     "[--concurrency C] [--json FILE]\n";
-        return EXIT_FAILURE;
-      }
-      requests = parsed;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what()
+              << "\nusage: bench_service [requests>=1] [--workers N] "
+                 "[--concurrency C] [--json FILE]\n";
+    return EXIT_FAILURE;
   }
 
   cloudwf::svc::ServerConfig config;

@@ -19,11 +19,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace cloudwf;
@@ -32,13 +34,10 @@ int main(int argc, char** argv) {
   std::size_t repeats = 9;
   if (argc > 1) {
     try {
-      repeats = std::stoul(argv[1]);
-    } catch (const std::exception&) {
-      repeats = 0;
-    }
-    if (repeats == 0) {
-      std::cerr << "usage: bench_trace_overhead [repeats>=1]  (got '"
-                << argv[1] << "')\n";
+      repeats = util::parse_size(argv[1], "repeats", 1);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what()
+                << "\nusage: bench_trace_overhead [repeats>=1]\n";
       return EXIT_FAILURE;
     }
   }

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "check/oracle.hpp"
 #include "dag/generators.hpp"
@@ -136,6 +137,15 @@ dag::Workflow random_case_dag(std::size_t index, util::Rng& rng,
   return wf;
 }
 
+/// A newly constructed scheduler for `label`, never the registry's shared
+/// instance, so no state the fast path touched can leak into the naive side.
+scheduling::Strategy fresh_instance(const std::string& label) {
+  const scheduling::StrategyEntry* entry = scheduling::find_strategy(label);
+  if (!entry)
+    throw std::invalid_argument("differential: unknown strategy " + label);
+  return {entry->strategy.label, entry->make()};
+}
+
 }  // namespace
 
 DifferentialResult run_differential(
@@ -196,7 +206,8 @@ DifferentialResult run_differential(
 
     sim::ScheduleMetrics naive_reference;
     {
-      const scheduling::Strategy ref = scheduling::reference_strategy();
+      const scheduling::Strategy ref = fresh_instance(
+          scheduling::reference_strategy().label);
       const sim::Schedule schedule = ref.scheduler->run(cold, platform);
       const OracleReport report = check_schedule(cold, schedule, platform);
       ++result.schedules_checked;
@@ -206,10 +217,8 @@ DifferentialResult run_differential(
     }
 
     for (const exp::RunResult& fast_run : fast) {
-      // Fresh scheduler instance: strategy_by_label constructs a new object,
-      // so no memo built during the fast path can leak into the naive side.
       const scheduling::Strategy naive_strategy =
-          scheduling::strategy_by_label(fast_run.strategy);
+          fresh_instance(fast_run.strategy);
       const sim::Schedule schedule =
           naive_strategy.scheduler->run(cold, platform);
       ++result.schedules_checked;

@@ -6,11 +6,12 @@
 //
 // The reference side rebuilds the materialized workflow task-by-task (cold
 // StructureCache, no shared slot), constructs a fresh scheduler per strategy
-// via strategy_by_label, and runs with VmPool::set_index_verification(true)
-// so the incremental reuse index is cross-checked against a fresh sort on
-// every query. Agreement is bitwise: every double and every integer-micro
-// Money amount of the two ScheduleMetrics must be identical, as must the
-// gain/loss percentages versus the per-case reference strategy.
+// with its registry entry's `make` (never the shared instance), and runs
+// with VmPool::set_index_verification(true) so the incremental reuse index
+// is cross-checked against a fresh sort on every query. Agreement is
+// bitwise: every double and every integer-micro Money amount of the two
+// ScheduleMetrics must be identical, as must the gain/loss percentages
+// versus the per-case reference strategy.
 #pragma once
 
 #include <cstdint>

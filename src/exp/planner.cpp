@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "scheduling/baselines.hpp"
+#include "scheduling/factory.hpp"
 #include "util/strings.hpp"
 
 namespace cloudwf::exp {

@@ -66,6 +66,16 @@ void validate_grid_workflow_name(const std::string& name) {
   throw std::invalid_argument("unknown grid workflow '" + name + "'");
 }
 
+/// A homogeneous or dynamic registry strategy; the grid does not sweep the
+/// baselines, so their labels are rejected like unknown ones.
+const scheduling::Strategy& grid_strategy(const std::string& label) {
+  const scheduling::StrategyEntry* entry = scheduling::find_strategy(label);
+  if (!entry || entry->family == scheduling::StrategyFamily::baseline)
+    throw std::invalid_argument("strategy_by_label: unknown label '" + label +
+                                "'");
+  return entry->strategy;
+}
+
 }  // namespace
 
 std::uint64_t SweepGridSpec::cell_count() const noexcept {
@@ -103,7 +113,7 @@ void validate_grid(const SweepGridSpec& spec) {
     validate_grid_workflow_name(name);
   for (const auto kind : spec.scenarios) (void)workload::name_of(kind);
   for (const std::string& label : spec.strategies)
-    (void)scheduling::strategy_by_label(label);  // throws on unknown label
+    (void)grid_strategy(label);
 }
 
 GridCell cell_at(const SweepGridSpec& spec, std::uint64_t index) {
@@ -196,7 +206,7 @@ std::vector<SweepRow> run_shard(const ShardSpec& shard,
   std::vector<scheduling::Strategy> strategies;
   strategies.reserve(shard.grid.strategies.size());
   for (const std::string& label : shard.grid.strategies)
-    strategies.push_back(scheduling::strategy_by_label(label));
+    strategies.push_back(grid_strategy(label));
   std::map<std::string, dag::Workflow> structures;
 
   std::vector<SweepRow> rows;

@@ -4,11 +4,6 @@
 #include <stdexcept>
 
 #include "dag/graph_algo.hpp"
-#include "scheduling/bicpa.hpp"
-#include "scheduling/elastic_strategy.hpp"
-#include "scheduling/het_heft.hpp"
-#include "scheduling/heuristics.hpp"
-#include "scheduling/scs.hpp"
 #include "scheduling/upgrade.hpp"
 
 namespace cloudwf::scheduling {
@@ -194,43 +189,6 @@ sim::Schedule SheftScheduler::run(const dag::Workflow& wf,
     sizes[candidate] = *cloud::next_faster(sizes[candidate]);
   }
   return retime_one_vm_per_task(wf, platform, sizes);
-}
-
-std::vector<Strategy> baseline_strategies(std::size_t pool_size) {
-  std::vector<Strategy> out;
-  for (cloud::InstanceSize size :
-       {cloud::InstanceSize::small, cloud::InstanceSize::medium,
-        cloud::InstanceSize::large}) {
-    out.push_back({sized_name("RoundRobin", size),
-                   std::make_shared<RoundRobinScheduler>(pool_size, size)});
-    out.push_back({sized_name("LeastLoad", size),
-                   std::make_shared<LeastLoadScheduler>(pool_size, size)});
-    out.push_back({sized_name("PCH", size), std::make_shared<PchScheduler>(size)});
-  }
-  out.push_back({"SHEFT", std::make_shared<SheftScheduler>()});
-  out.push_back({"biCPA-budget-s",
-                 std::make_shared<BiCpaScheduler>(
-                     BiCpaScheduler::Objective::budget, 2.0)});
-  out.push_back({"biCPA-deadline-s",
-                 std::make_shared<BiCpaScheduler>(
-                     BiCpaScheduler::Objective::deadline, 1.5)});
-  out.push_back({"SCS", std::make_shared<ScsScheduler>()});
-  out.push_back(elastic_strategy(cloud::InstanceSize::small));
-  for (Strategy& s : heuristic_strategies(pool_size))
-    out.push_back(std::move(s));
-  out.push_back({"HetHEFT[ssml]",
-                 std::make_shared<HeterogeneousHeftScheduler>(
-                     std::vector<cloud::InstanceSize>{
-                         cloud::InstanceSize::small, cloud::InstanceSize::small,
-                         cloud::InstanceSize::medium,
-                         cloud::InstanceSize::large})});
-  return out;
-}
-
-Strategy strategy_by_any_label(std::string_view label) {
-  for (Strategy& s : baseline_strategies())
-    if (s.label == label) return std::move(s);
-  return strategy_by_label(label);
 }
 
 }  // namespace cloudwf::scheduling

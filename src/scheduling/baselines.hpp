@@ -15,7 +15,6 @@
 //    path VMs until the makespan drops below a deadline (no budget cap).
 #pragma once
 
-#include "scheduling/factory.hpp"
 #include "scheduling/scheduler.hpp"
 
 namespace cloudwf::scheduling {
@@ -81,15 +80,5 @@ class SheftScheduler final : public Scheduler {
  private:
   double deadline_fraction_;
 };
-
-/// The comparator strategies beyond the paper's Fig. 4 legend, with labels
-/// ("RoundRobin-s", "LeastLoad-s", "PCH-s", "SHEFT", ...). Pool-based
-/// baselines default to 4 VMs.
-[[nodiscard]] std::vector<Strategy> baseline_strategies(
-    std::size_t pool_size = 4);
-
-/// Resolves a label against the paper strategies *and* the baselines
-/// ("PCH-m", "SHEFT", ...). Throws std::invalid_argument on unknown labels.
-[[nodiscard]] Strategy strategy_by_any_label(std::string_view label);
 
 }  // namespace cloudwf::scheduling

@@ -14,11 +14,4 @@ sim::Schedule ElasticScheduler::run(const dag::Workflow& wf,
   return sim::run_elastic(wf, platform, policy_).schedule;
 }
 
-Strategy elastic_strategy(cloud::InstanceSize size) {
-  sim::ElasticPolicy policy;
-  policy.size = size;
-  return {"Elastic-" + std::string(cloud::suffix_of(size)),
-          std::make_shared<ElasticScheduler>(policy)};
-}
-
 }  // namespace cloudwf::scheduling

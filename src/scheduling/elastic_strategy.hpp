@@ -4,7 +4,6 @@
 // the paper's static planners.
 #pragma once
 
-#include "scheduling/factory.hpp"
 #include "scheduling/scheduler.hpp"
 #include "sim/elastic.hpp"
 
@@ -25,9 +24,5 @@ class ElasticScheduler final : public Scheduler {
  private:
   sim::ElasticPolicy policy_;
 };
-
-/// "Elastic-<suffix>" strategy at the given size (default policy otherwise).
-[[nodiscard]] Strategy elastic_strategy(
-    cloud::InstanceSize size = cloud::InstanceSize::small);
 
 }  // namespace cloudwf::scheduling

@@ -135,18 +135,4 @@ sim::Schedule CtcScheduler::run(const dag::Workflow& wf,
   return retime_one_vm_per_task(wf, platform, sizes);
 }
 
-std::vector<Strategy> heuristic_strategies(std::size_t pool_size) {
-  std::vector<Strategy> out;
-  out.push_back({"MinMin-s",
-                 std::make_shared<MinMinScheduler>(MinMaxMode::min_min,
-                                                   pool_size,
-                                                   cloud::InstanceSize::small)});
-  out.push_back({"MaxMin-s",
-                 std::make_shared<MinMinScheduler>(MinMaxMode::max_min,
-                                                   pool_size,
-                                                   cloud::InstanceSize::small)});
-  out.push_back({"CTC", std::make_shared<CtcScheduler>()});
-  return out;
-}
-
 }  // namespace cloudwf::scheduling

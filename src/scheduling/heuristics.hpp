@@ -12,7 +12,6 @@
 //    the user dials w between the paper's two objectives.
 #pragma once
 
-#include "scheduling/factory.hpp"
 #include "scheduling/scheduler.hpp"
 
 namespace cloudwf::scheduling {
@@ -51,9 +50,5 @@ class CtcScheduler final : public Scheduler {
  private:
   double time_weight_;
 };
-
-/// "MinMin-s", "MaxMin-s" (pool of 4) and "CTC" with the default weight.
-[[nodiscard]] std::vector<Strategy> heuristic_strategies(
-    std::size_t pool_size = 4);
 
 }  // namespace cloudwf::scheduling

@@ -172,7 +172,11 @@ void Batcher::run_batch() {
   counters_.batches_run.fetch_add(1, std::memory_order_relaxed);
 
   {
-    obs::PhaseScope phase("svc: batch " + key);
+    // Shard keys are unique per slice, so shard batches share one phase
+    // name; a per-key name would grow /stats by one entry per shard served.
+    const bool shard =
+        !batch.empty() && batch.front().kind == QueuedRequest::Kind::shard;
+    obs::PhaseScope phase(shard ? "svc: batch shard" : "svc: batch " + key);
     EvalCache cache;  // shared across the whole batch: coalesced requests
                       // with overlapping cells evaluate each cell once
     for (QueuedRequest& request : batch) {

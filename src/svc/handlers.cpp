@@ -3,22 +3,18 @@
 #include "dag/builders.hpp"
 #include "dag/science.hpp"
 #include "obs/trace.hpp"
-#include "scheduling/baselines.hpp"
 #include "scheduling/factory.hpp"
 
 namespace cloudwf::svc {
 
 namespace {
 
-scheduling::Strategy resolve_strategy(const std::string& label) {
-  for (scheduling::Strategy& s : scheduling::baseline_strategies())
-    if (s.label == label) return std::move(s);
-  try {
-    return scheduling::strategy_by_label(label);
-  } catch (const std::invalid_argument&) {
+const scheduling::Strategy& registered_strategy(const std::string& label) {
+  const scheduling::StrategyEntry* entry = scheduling::find_strategy(label);
+  if (!entry)
     throw BadRequest("unknown strategy '" + label +
                      "' (see `cloudwf list` for the accepted labels)");
-  }
+  return entry->strategy;
 }
 
 std::string cell_key(const std::string& workflow,
@@ -64,7 +60,7 @@ dag::Workflow workflow_by_name(const std::string& name) {
 }
 
 void validate_strategy_label(const std::string& label) {
-  (void)resolve_strategy(label);
+  (void)registered_strategy(label);
 }
 
 util::Json run_result_json(const exp::RunResult& result, std::uint64_t seed) {
@@ -89,7 +85,7 @@ std::vector<ResultRow> evaluate_rows(const EvaluateRequest& request,
                                      const cloud::Platform& platform,
                                      EvalCache* cache) {
   obs::PhaseScope phase("svc: evaluate");
-  const scheduling::Strategy strategy = resolve_strategy(request.strategy);
+  const scheduling::Strategy& strategy = registered_strategy(request.strategy);
   const dag::Workflow structure = workflow_by_name(request.workflow);
 
   std::vector<ResultRow> rows;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/report.hpp"
-#include "exp/strategy_set.hpp"
+#include "scheduling/factory.hpp"
 
 namespace cloudwf::exp {
 namespace {
@@ -64,33 +64,59 @@ TEST(ExperimentRunner, ParallelGridMatchesSerialExactly) {
   }
 }
 
+// The registry's family and size columns — the groupings the reports and
+// the Table III/IV classifiers rely on.
+const scheduling::StrategyEntry& entry(std::string_view label) {
+  const scheduling::StrategyEntry* e = scheduling::find_strategy(label);
+  if (!e) throw std::invalid_argument(std::string(label));
+  return *e;
+}
+
 TEST(StrategySet, DynamicVsHomogeneousPartition) {
-  EXPECT_TRUE(is_dynamic_strategy("CPA-Eager"));
-  EXPECT_TRUE(is_dynamic_strategy("AllPar1LnSDyn"));
-  EXPECT_FALSE(is_dynamic_strategy("AllParExceed-m"));
-  EXPECT_TRUE(is_homogeneous_strategy("AllParExceed-m"));
-  EXPECT_FALSE(is_homogeneous_strategy("GAIN"));
+  using scheduling::StrategyFamily;
+  EXPECT_EQ(entry("CPA-Eager").family, StrategyFamily::dynamic);
+  EXPECT_EQ(entry("AllPar1LnSDyn").family, StrategyFamily::dynamic);
+  EXPECT_EQ(entry("AllParExceed-m").family, StrategyFamily::homogeneous);
+  EXPECT_EQ(entry("GAIN").family, StrategyFamily::dynamic);
+  EXPECT_EQ(entry("PCH-s").family, StrategyFamily::baseline);
 
   std::size_t dynamic = 0;
   std::size_t homogeneous = 0;
   for (const std::string& label : scheduling::paper_strategy_labels()) {
-    if (is_dynamic_strategy(label)) ++dynamic;
-    if (is_homogeneous_strategy(label)) ++homogeneous;
+    if (entry(label).family == StrategyFamily::dynamic) ++dynamic;
+    if (entry(label).family == StrategyFamily::homogeneous) ++homogeneous;
   }
   EXPECT_EQ(dynamic, 4u);
   EXPECT_EQ(homogeneous, 15u);
 }
 
 TEST(StrategySet, SuffixAndProvisioningParts) {
-  EXPECT_EQ(instance_suffix("AllParExceed-m"), "m");
-  EXPECT_EQ(instance_suffix("CPA-Eager"), "");
-  EXPECT_EQ(provisioning_part("AllParExceed-m"), "AllParExceed");
-  EXPECT_EQ(provisioning_part("GAIN"), "GAIN");
+  EXPECT_EQ(entry("AllParExceed-m").size, cloud::InstanceSize::medium);
+  EXPECT_EQ(entry("OneVMperTask-xl").size, cloud::InstanceSize::xlarge);
+  EXPECT_FALSE(entry("CPA-Eager").size.has_value());
+  EXPECT_FALSE(entry("RoundRobin-s").size.has_value());
+  // Every homogeneous label is "<provisioning>-<size suffix>".
+  for (const scheduling::StrategyEntry& e : scheduling::strategy_registry()) {
+    if (e.family != scheduling::StrategyFamily::homogeneous) continue;
+    ASSERT_TRUE(e.size.has_value()) << e.strategy.label;
+    const std::string& label = e.strategy.label;
+    EXPECT_EQ(label.substr(label.rfind('-') + 1), cloud::suffix_of(*e.size));
+  }
 }
 
 TEST(StrategySet, SizedSubsets) {
-  EXPECT_EQ(homogeneous_strategies(cloud::InstanceSize::small).size(), 5u);
-  EXPECT_EQ(dynamic_strategies().size(), 4u);
+  for (cloud::InstanceSize size :
+       {cloud::InstanceSize::small, cloud::InstanceSize::medium,
+        cloud::InstanceSize::large}) {
+    std::size_t homogeneous = 0;
+    for (const scheduling::StrategyEntry& e : scheduling::strategy_registry())
+      if (e.in_legend && e.size == size) ++homogeneous;
+    EXPECT_EQ(homogeneous, 5u) << cloud::suffix_of(size);
+  }
+  std::size_t dynamic = 0;
+  for (const scheduling::StrategyEntry& e : scheduling::strategy_registry())
+    if (e.family == scheduling::StrategyFamily::dynamic) ++dynamic;
+  EXPECT_EQ(dynamic, 4u);
 }
 
 TEST(Report, TableAndCsvCoverEveryRun) {

@@ -6,7 +6,6 @@
 #include "dag/builders.hpp"
 #include "dag/graph_algo.hpp"
 #include "exp/experiment.hpp"
-#include "scheduling/baselines.hpp"
 #include "scheduling/factory.hpp"
 #include "sim/metrics.hpp"
 #include "sim/validator.hpp"
@@ -60,7 +59,7 @@ TEST(Metamorphic, PriceScalingScalesCostsLinearly) {
     // Dynamic SAs budget off the seed *cost*, which scales with prices, so
     // their decisions are scale-invariant too (budget and candidate costs
     // double together). SHEFT is deadline-driven: trivially invariant.
-    const scheduling::Strategy s = scheduling::strategy_by_any_label(label);
+    const scheduling::Strategy s = scheduling::strategy_by_label(label);
     const sim::ScheduleMetrics a =
         sim::compute_metrics(wf, s.scheduler->run(wf, normal), normal);
     const sim::ScheduleMetrics b =

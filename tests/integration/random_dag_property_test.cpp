@@ -4,7 +4,6 @@
 
 #include "dag/generators.hpp"
 #include "dag/graph_algo.hpp"
-#include "scheduling/baselines.hpp"
 #include "scheduling/factory.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/metrics.hpp"

@@ -4,6 +4,7 @@
 
 #include "dag/builders.hpp"
 #include "dag/graph_algo.hpp"
+#include "scheduling/factory.hpp"
 #include "scheduling/heft.hpp"
 #include "scheduling/upgrade.hpp"
 #include "sim/metrics.hpp"

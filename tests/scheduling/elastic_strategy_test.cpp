@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dag/builders.hpp"
-#include "scheduling/baselines.hpp"
+#include "scheduling/factory.hpp"
 #include "sim/validator.hpp"
 #include "workload/scenario.hpp"
 
@@ -31,18 +31,19 @@ TEST(ElasticStrategy, RegisteredAsABaseline) {
   for (const Strategy& s : baseline_strategies())
     if (s.label == "Elastic-s") found = true;
   EXPECT_TRUE(found);
-  EXPECT_NO_THROW((void)strategy_by_any_label("Elastic-s"));
+  EXPECT_NO_THROW((void)strategy_by_label("Elastic-s"));
 }
 
 TEST(ElasticStrategy, SizeParameterizes) {
-  const Strategy medium = elastic_strategy(cloud::InstanceSize::medium);
-  EXPECT_EQ(medium.label, "Elastic-m");
+  sim::ElasticPolicy policy;
+  policy.size = cloud::InstanceSize::medium;
+  const ElasticScheduler medium(policy);
+  EXPECT_EQ(medium.name(), "Elastic-m");
   const cloud::Platform platform = cloud::Platform::ec2();
   const dag::Workflow wf = pareto(dag::builders::cstem());
-  const util::Seconds ms_m = medium.scheduler->run(wf, platform).makespan();
+  const util::Seconds ms_m = medium.run(wf, platform).makespan();
   const util::Seconds ms_s =
-      elastic_strategy(cloud::InstanceSize::small).scheduler->run(wf, platform)
-          .makespan();
+      strategy_by_label("Elastic-s").scheduler->run(wf, platform).makespan();
   EXPECT_LT(ms_m, ms_s);  // faster instances, same runtime logic
 }
 

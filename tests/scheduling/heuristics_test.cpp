@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dag/builders.hpp"
+#include "scheduling/factory.hpp"
 #include "sim/metrics.hpp"
 #include "sim/validator.hpp"
 #include "workload/scenario.hpp"
@@ -99,11 +102,15 @@ TEST(Ctc, FeasibleAndMonotoneInWeight) {
 }
 
 TEST(Heuristics, FactoryLabels) {
-  const auto strategies = heuristic_strategies();
-  ASSERT_EQ(strategies.size(), 3u);
-  EXPECT_EQ(strategies[0].label, "MinMin-s");
-  EXPECT_EQ(strategies[1].label, "MaxMin-s");
-  EXPECT_EQ(strategies[2].label, "CTC");
+  // Registered as consecutive baselines, pool of 4 on small instances.
+  std::vector<std::string> labels;
+  for (const Strategy& s : baseline_strategies()) labels.push_back(s.label);
+  const auto min_min = std::find(labels.begin(), labels.end(), "MinMin-s");
+  ASSERT_GE(std::distance(min_min, labels.end()), 3) << "MinMin-s missing";
+  EXPECT_EQ(*(min_min + 1), "MaxMin-s");
+  EXPECT_EQ(*(min_min + 2), "CTC");
+  EXPECT_EQ(strategy_by_label("MinMin-s").scheduler->name(), "MinMin-s");
+  EXPECT_EQ(strategy_by_label("MaxMin-s").scheduler->name(), "MaxMin-s");
 }
 
 }  // namespace

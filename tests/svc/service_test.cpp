@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "scheduling/factory.hpp"
 #include "svc/binproto.hpp"
 #include "svc/handlers.hpp"
 #include "svc/http.hpp"
@@ -181,6 +182,38 @@ TEST_F(ServiceTest, ConcurrentResponsesMatchSerialAnswersByteForByte) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(server_->counters().responses_ok.load(), 0u);
+}
+
+TEST(SharedStrategies, RegistryInstancesAnswerIdenticallyAcrossThreads) {
+  // Service workers share the registry's scheduler instances, baselines
+  // included; concurrent evaluations must match the serial answers.
+  const cloud::Platform platform = cloud::Platform::ec2();
+  std::vector<EvaluateRequest> requests;
+  std::vector<std::string> expected;
+  for (const scheduling::StrategyEntry& e : scheduling::strategy_registry()) {
+    if (e.family != scheduling::StrategyFamily::baseline &&
+        e.strategy.label != "GAIN" && e.strategy.label != "AllParExceed-m")
+      continue;
+    EvaluateRequest request;
+    request.workflow = "cstem";
+    request.strategy = e.strategy.label;
+    request.seed_begin = request.seed_end = 2;
+    expected.push_back(evaluate_body(request, platform));
+    requests.push_back(std::move(request));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const std::size_t c = (i + t * 5) % requests.size();
+        if (evaluate_body(requests[c], platform) != expected[c]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(ServiceTest, StatsExposeEventLoopsAndResponseCache) {

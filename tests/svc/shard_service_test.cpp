@@ -227,6 +227,41 @@ TEST_F(ShardServiceTest, RejectsBadShards) {
   EXPECT_EQ(response->status, 400);
 }
 
+TEST_F(ShardServiceTest, PhaseStatsStayBoundedAcrossShards) {
+  const auto phase_count = [this]() -> std::size_t {
+    const auto response = client_.request("GET", "/stats");
+    if (!response) return 0;
+    const util::Json stats = util::Json::parse(response->body);
+    const util::Json* phases = stats.find("phases");
+    return phases ? phases->as_object().size() : 0;
+  };
+  const auto serve = [this](const exp::ShardSpec& shard) {
+    const auto response =
+        client_.request("POST", "/v1/shard", shard_request_body(shard));
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->status, 200) << response->body;
+  };
+
+  // One shard over the whole grid touches every phase a slice of it can.
+  exp::ShardSpec whole = sample_shard();
+  whole.cell_begin = 0;
+  whole.cell_end = whole.grid.cell_count();
+  serve(whole);
+  (void)phase_count();  // the /stats request's own phase
+  const std::size_t before = phase_count();
+  ASSERT_GT(before, 0u);
+
+  // Many distinct slices of the same grid add no phase names.
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    exp::ShardSpec shard = whole;
+    shard.shard_id = 10 + i;
+    shard.cell_begin = i;
+    shard.cell_end = i + 2;
+    serve(shard);
+  }
+  EXPECT_EQ(phase_count(), before);
+}
+
 // --- the auth gate -------------------------------------------------------
 
 class AuthServiceTest : public ::testing::Test {

@@ -74,7 +74,6 @@
 #include "exp/planner.hpp"
 #include "exp/report.hpp"
 #include "check/mt_oracle.hpp"
-#include "scheduling/baselines.hpp"
 #include "scheduling/factory.hpp"
 #include "sim/gantt.hpp"
 #include "tenant/billing.hpp"
@@ -230,12 +229,6 @@ int cmd_list() {
   return 0;
 }
 
-scheduling::Strategy resolve_strategy(const std::string& label) {
-  for (scheduling::Strategy& s : scheduling::baseline_strategies())
-    if (s.label == label) return std::move(s);
-  return scheduling::strategy_by_label(label);
-}
-
 int cmd_run(const Args& args) {
   const auto wf_spec = args.option("workflow");
   const auto strategy_label = args.option("strategy");
@@ -245,7 +238,8 @@ int cmd_run(const Args& args) {
   const exp::ExperimentRunner runner = make_runner(args);
   const dag::Workflow structure = resolve_workflow(*wf_spec);
   const dag::Workflow wf = materialize_or_keep(runner, structure, args);
-  const scheduling::Strategy strategy = resolve_strategy(*strategy_label);
+  const scheduling::Strategy strategy =
+      scheduling::strategy_by_label(*strategy_label);
   const cloud::Platform platform = resolve_platform(runner, args);
 
   const sim::Schedule schedule = strategy.scheduler->run(wf, platform);
@@ -328,9 +322,9 @@ int cmd_diff(const Args& args) {
   const cloud::Platform platform = resolve_platform(runner, args);
 
   const sim::Schedule before =
-      resolve_strategy(*label_a).scheduler->run(wf, platform);
+      scheduling::strategy_by_label(*label_a).scheduler->run(wf, platform);
   const sim::Schedule after =
-      resolve_strategy(*label_b).scheduler->run(wf, platform);
+      scheduling::strategy_by_label(*label_b).scheduler->run(wf, platform);
   std::cout << *label_a << " -> " << *label_b << " on " << wf.name() << ":\n"
             << sim::render_diff(
                    sim::diff_schedules(wf, before, after, platform));
@@ -370,7 +364,8 @@ int cmd_trace(const Args& args) {
   const exp::ExperimentRunner runner = make_runner(args);
   const dag::Workflow structure = resolve_workflow(*wf_spec);
   const dag::Workflow wf = materialize_or_keep(runner, structure, args);
-  const scheduling::Strategy strategy = resolve_strategy(*strategy_label);
+  const scheduling::Strategy strategy =
+      scheduling::strategy_by_label(*strategy_label);
   const cloud::Platform platform = resolve_platform(runner, args);
 
   obs::TraceRecorder recorder;
