@@ -1,14 +1,11 @@
 #include "dist/coordinator.hpp"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <variant>
 
@@ -116,90 +113,45 @@ CoordinatorServer::~CoordinatorServer() { stop(); }
 
 void CoordinatorServer::start() {
   if (started_) throw std::logic_error("CoordinatorServer::start called twice");
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0)
-    throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 64) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("coordinator bind/listen: " + err);
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
+  const svc::Listener listener =
+      svc::open_listener(INADDR_LOOPBACK, config_.port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   started_ = true;
-  acceptor_ = std::thread([this] { accept_loop(); });
+
+  svc::EventLoop::Config loop_cfg;
+  loop_cfg.listen_fd = listen_fd_;
+  loop_cfg.counters.connections_active = &connections_active_;
+  loop_cfg.counters.requests_total = &requests_;
+  loop_ = std::make_unique<svc::EventLoop>(
+      loop_cfg, [this](svc::HttpRequest&& request, svc::HttpResponse& sync,
+                       svc::EventLoop::Completion done) {
+        return handle(std::move(request), sync, std::move(done));
+      });
+  loop_->start();
 }
 
-void CoordinatorServer::accept_loop() {
-  // Blocking accept; shutdown() on the listen fd from stop() wakes it with
-  // an error. Workers are few (a fleet, not the public internet), so one
-  // thread per connection is the simplest correct shape.
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;
-    }
-    const std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-}
-
-void CoordinatorServer::serve_connection(int fd) {
-  // Idle connections close after a short receive timeout instead of parking
-  // this thread forever (stop() joins every connection thread; a silent
-  // peer must not be able to wedge it). Workers reconnect transparently —
-  // HttpClient retries once on a dropped keep-alive connection.
-  timeval timeout{};
-  timeout.tv_sec = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-
-  std::string carry;
-  for (;;) {
-    const svc::ReadResult read = svc::read_http_request(fd, carry);
-    if (read.status != svc::ReadStatus::ok) break;
-    svc::HttpResponse response = handle(read.request);
-    response.close_connection =
-        response.close_connection || !read.request.keep_alive();
-    if (!svc::write_all(fd, svc::serialize_response(response))) break;
-    if (response.close_connection) break;
-  }
-  ::close(fd);
-}
-
-svc::HttpResponse CoordinatorServer::handle(const svc::HttpRequest& request) {
-  svc::HttpResponse response;
-
+bool CoordinatorServer::handle(svc::HttpRequest&& request,
+                               svc::HttpResponse& response,
+                               svc::EventLoop::Completion /*done*/) {
   if (request.target == "/v1/shard/lease") {
     if (request.method != "POST") {
       response.status = 405;
       response.body = svc::error_body("use POST for /v1/shard/lease");
-      return response;
+      return true;
     }
     const Acquired lease = tracker_.acquire();
     switch (lease.status) {
       case AcquireStatus::granted:
         response.body = svc::shard_request_body(lease.shard);
-        return response;
+        return true;
       case AcquireStatus::wait:
         response.status = 503;
         response.body = svc::error_body("no shard available — retry");
-        return response;
+        return true;
       case AcquireStatus::done:
         response.status = 204;  // sweep finished: the worker may exit
-        return response;
+        return true;
     }
   }
 
@@ -207,7 +159,7 @@ svc::HttpResponse CoordinatorServer::handle(const svc::HttpRequest& request) {
     if (request.method != "POST") {
       response.status = 405;
       response.body = svc::error_body("use POST for /v1/shard/result");
-      return response;
+      return true;
     }
     try {
       std::uint64_t shard_id = 0;
@@ -232,23 +184,43 @@ svc::HttpResponse CoordinatorServer::handle(const svc::HttpRequest& request) {
       body["accepted"] = accepted;
       if (!accepted) body["reason"] = "duplicate or unknown shard";
       response.body = body.dump();
-      return response;
+      return true;
     } catch (const std::exception& e) {
       response.status = 400;
       response.body = svc::error_body(e.what());
-      return response;
+      return true;
     }
   }
 
   response.status = 404;
   response.body = svc::error_body("unknown endpoint '" + request.target +
                                   "' (/v1/shard/lease, /v1/shard/result)");
-  return response;
+  return true;
 }
 
 SweepOutcome CoordinatorServer::finish() {
   tracker_.wait_finished();
   const bool was_dead = tracker_.dead();
+
+  // Drain: a worker whose keep-alive connection is open right now is about
+  // to ask for another lease and must get its 204. Keep serving until every
+  // connection has closed, or until kDrainIdle passes without a request (a
+  // silent peer cannot hold the sweep open).
+  constexpr auto kDrainIdle = std::chrono::seconds(1);
+  constexpr auto kDrainPoll = std::chrono::milliseconds(10);
+  std::uint64_t seen = requests_.load(std::memory_order_relaxed);
+  auto idle_since = std::chrono::steady_clock::now();
+  while (connections_active_.load(std::memory_order_relaxed) > 0) {
+    std::this_thread::sleep_for(kDrainPoll);
+    const std::uint64_t now_seen = requests_.load(std::memory_order_relaxed);
+    const auto now = std::chrono::steady_clock::now();
+    if (now_seen != seen) {
+      seen = now_seen;
+      idle_since = now;
+    } else if (now - idle_since >= kDrainIdle) {
+      break;
+    }
+  }
   stop();
   if (was_dead)
     throw std::runtime_error(
@@ -264,18 +236,15 @@ SweepOutcome CoordinatorServer::finish() {
 void CoordinatorServer::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  stopping_.store(true, std::memory_order_release);
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
+  // The loop deregisters the listen fd and closes its connections while
+  // draining; closing the listener last refuses a connect() racing the
+  // drain instead of landing it on a recycled fd.
+  if (loop_) {  // null only when the loop's constructor threw in start()
+    loop_->request_stop();
+    loop_->join();
+  }
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> conns;
-  {
-    const std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns.swap(conns_);
-  }
-  for (std::thread& conn : conns)
-    if (conn.joinable()) conn.join();
 }
 
 }  // namespace cloudwf::dist

@@ -8,7 +8,8 @@
 //   `cloudwf serve` instance; tests inject failing/slow fakes). A transport
 //   failure fails the lease and the shard is re-issued to another worker.
 //
-//   Pull — CoordinatorServer listens on loopback and lets `cloudwf worker`
+//   Pull — CoordinatorServer listens on loopback, on one svc::EventLoop
+//   (the service's nonblocking server core), and lets `cloudwf worker`
 //   processes drive themselves: POST /v1/shard/lease hands out a spec
 //   (204 once the sweep is finished, 503 when the worker should back off
 //   and retry), POST /v1/shard/result reports rows (binary shard_response
@@ -23,15 +24,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cloud/platform.hpp"
 #include "dist/tracker.hpp"
 #include "exp/sweep_grid.hpp"
+#include "svc/event_loop.hpp"
 #include "svc/http.hpp"
 
 namespace cloudwf::dist {
@@ -89,10 +89,12 @@ struct SweepOutcome {
     const std::vector<std::shared_ptr<ShardTransport>>& workers,
     const CoordinatorOptions& options = {});
 
-/// Pull-mode coordinator: a minimal blocking HTTP listener over the same
-/// tracker. Binds loopback only (workers on other machines connect to a
-/// `cloudwf serve` fleet in push mode instead — that path has the auth
-/// token).
+/// Pull-mode coordinator: the lease and result routes over the tracker,
+/// served by one svc::EventLoop — one thread however many workers hold
+/// keep-alive connections (at most the loop's 128; beyond that a worker is
+/// answered 503 and retries). Binds loopback only (workers on other
+/// machines connect to a `cloudwf serve` fleet in push mode instead — that
+/// path has the auth token).
 class CoordinatorServer {
  public:
   struct Config {
@@ -109,9 +111,12 @@ class CoordinatorServer {
   void start();
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Blocks until every shard completed (or the sweep died), stops the
-  /// listener and returns the merged sweep. Throws std::runtime_error on a
-  /// dead sweep.
+  /// Blocks until every shard completed (or the sweep died), then drains:
+  /// the loop keeps serving until every worker connection has closed or no
+  /// request has arrived for 1 s, so a worker whose keep-alive connection
+  /// is open when the last shard completes still gets its 204. Then stops
+  /// the listener and returns the merged sweep. Throws std::runtime_error
+  /// on a dead sweep.
   [[nodiscard]] SweepOutcome finish();
 
   void stop();
@@ -121,9 +126,9 @@ class CoordinatorServer {
   }
 
  private:
-  void accept_loop();
-  void serve_connection(int fd);
-  [[nodiscard]] svc::HttpResponse handle(const svc::HttpRequest& request);
+  /// The loop's dispatcher: every route answers inline (returns true).
+  bool handle(svc::HttpRequest&& request, svc::HttpResponse& response,
+              svc::EventLoop::Completion done);
 
   std::vector<exp::ShardSpec> shards_;
   ShardTracker tracker_;
@@ -131,12 +136,11 @@ class CoordinatorServer {
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
   bool started_ = false;
   bool stopped_ = false;
-  std::thread acceptor_;
-  std::mutex conns_mutex_;
-  std::vector<std::thread> conns_;
+  std::atomic<std::uint64_t> connections_active_{0};
+  std::atomic<std::uint64_t> requests_{0};
+  std::unique_ptr<svc::EventLoop> loop_;  ///< after the counters it updates
 };
 
 }  // namespace cloudwf::dist

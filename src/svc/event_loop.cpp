@@ -1,5 +1,6 @@
 #include "svc/event_loop.hpp"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -20,6 +21,7 @@ namespace {
 constexpr std::uint64_t kWakeTag = 1;
 constexpr std::uint64_t kListenTag = 2;
 constexpr int kMaxEvents = 64;
+constexpr int kListenBacklog = 256;  ///< every open_listener socket
 
 void count(std::atomic<std::uint64_t>* counter, std::uint64_t delta = 1) {
   if (counter) counter->fetch_add(delta, std::memory_order_relaxed);
@@ -30,6 +32,34 @@ void uncount(std::atomic<std::uint64_t>* counter) {
 }
 
 }  // namespace
+
+Listener open_listener(std::uint32_t ipv4_address, std::uint16_t port) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0)
+    throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(ipv4_address);
+  addr.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("bind(port " + std::to_string(port) +
+                             "): " + err);
+  }
+  if (::listen(fd, kListenBacklog) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("listen(): " + err);
+  }
+  socklen_t len = sizeof addr;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  return Listener{fd, ntohs(addr.sin_port)};
+}
 
 EventLoop::EventLoop(Config config, Dispatcher dispatcher)
     : cfg_(config), dispatcher_(std::move(dispatcher)) {
@@ -300,8 +330,8 @@ bool EventLoop::process_input(Connection& conn) {
     ParseResult parsed = parse_http_request(conn.in, cfg_.limits);
     if (parsed.status == ParseStatus::need_more) {
       if (conn.peer_eof) {
-        // The old blocking path reported this via read_http_request; keep
-        // the same 400 + error text for an abruptly truncated request.
+        // The peer half-closed inside a request that can never complete
+        // now: answer 400 naming where the stream stopped.
         count(cfg_.counters.bad_request_400);
         HttpResponse bad;
         bad.status = 400;

@@ -1,13 +1,15 @@
-// Epoll event loop — the service's nonblocking accept/read/write path.
+// Epoll event loop — the one nonblocking accept/read/write path behind every
+// HTTP server in the library: `cloudwf serve` (svc::Server) and the
+// pull-mode sweep coordinator (dist::CoordinatorServer).
 //
 // One EventLoop owns one thread, one epoll instance and the connections it
-// accepted. All loops share the server's listen socket (registered with
-// EPOLLEXCLUSIVE so the kernel wakes one loop per pending accept instead of
-// thundering all of them). Per connection the loop keeps a small state
-// machine: unconsumed inbound bytes (fed through the incremental
-// parse_http_request), a pending outbound buffer (flushed opportunistically,
-// EPOLLOUT-armed only while a write actually stalls), and a single-request
-// in-flight flag.
+// accepted. All loops of a server share its listen socket, opened with
+// open_listener (registered with EPOLLEXCLUSIVE so the kernel wakes one
+// loop per pending accept instead of thundering all of them). Per
+// connection the loop keeps a small state machine: unconsumed inbound bytes
+// (fed through the incremental parse_http_request), a pending outbound
+// buffer (flushed opportunistically, EPOLLOUT-armed only while a write
+// actually stalls), and a single-request in-flight flag.
 //
 // Request handling is a callback: the server's dispatcher either answers
 // inline (introspection endpoints, cache hits, protocol errors) or keeps
@@ -17,10 +19,9 @@
 // marshals them home through a mutex-guarded queue plus an eventfd wakeup,
 // so connection state is only ever touched by the owning loop thread.
 //
-// Drain (`request_stop`) mirrors the blocking server's semantics: the loop
-// deregisters the listen fd, closes idle connections, answers buffered
-// complete requests with `Connection: close`, and exits once the last
-// in-flight completion has been written out.
+// Drain (`request_stop`): the loop deregisters the listen fd, closes idle
+// connections, answers buffered complete requests with `Connection: close`,
+// and exits once the last in-flight completion has been written out.
 #pragma once
 
 #include <atomic>
@@ -36,6 +37,18 @@
 #include "svc/http.hpp"
 
 namespace cloudwf::svc {
+
+/// A listening socket and the port it is bound to.
+struct Listener {
+  int fd = -1;  ///< nonblocking, close-on-exec; the caller closes it
+  std::uint16_t port = 0;  ///< resolved when the requested port was 0
+};
+
+/// Binds and listens on `ipv4_address` (host byte order) : `port` (0 =
+/// ephemeral) with SO_REUSEADDR — the socket EventLoop::Config::listen_fd
+/// expects. Throws std::runtime_error naming the failing call.
+[[nodiscard]] Listener open_listener(std::uint32_t ipv4_address,
+                                     std::uint16_t port);
 
 /// Per-loop observability counters, surfaced under "event_loops" on /stats.
 /// Relaxed atomics: statistics, not synchronization.

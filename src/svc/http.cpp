@@ -8,7 +8,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 namespace cloudwf::svc {
 
@@ -136,13 +135,17 @@ ParseResult parse_http_request(std::string_view buffer,
 
   // Header block first: everything up to the blank line. An over-long
   // prefix with no terminator in sight is rejected before more bytes are
-  // read (network input is untrusted).
+  // read (network input is untrusted), and so is an over-long block whose
+  // terminator arrived in the same read — the verdict must not depend on
+  // where the reads split the stream.
   const std::size_t head_end = buffer.find("\r\n\r\n");
   if (head_end == std::string_view::npos) {
     if (buffer.size() > limits.max_header_bytes)
       return fail(ParseStatus::too_large, "header block exceeds limit");
     return result;  // need_more
   }
+  if (head_end + 4 > limits.max_header_bytes)
+    return fail(ParseStatus::too_large, "header block exceeds limit");
 
   std::string error;
   std::optional<HttpRequest> head =
@@ -180,55 +183,6 @@ ParseResult parse_http_request(std::string_view buffer,
   result.request.body = std::string(buffer.substr(body_start, content_length));
   result.consumed = body_start + content_length;
   return result;
-}
-
-ReadResult read_http_request(int fd, std::string& carry,
-                             const HttpLimits& limits) {
-  ReadResult result;
-  std::string buffer = std::move(carry);
-  carry.clear();
-
-  for (;;) {
-    ParseResult parsed = parse_http_request(buffer, limits);
-    if (parsed.status == ParseStatus::ok) {
-      result.status = ReadStatus::ok;
-      result.request = std::move(parsed.request);
-      carry = buffer.substr(parsed.consumed);  // pipelined leftovers
-      return result;
-    }
-    if (parsed.status != ParseStatus::need_more) {
-      result.status = parsed.status == ParseStatus::too_large
-                          ? ReadStatus::too_large
-                      : parsed.status == ParseStatus::not_implemented
-                          ? ReadStatus::not_implemented
-                          : ReadStatus::malformed;
-      result.error = std::move(parsed.error);
-      return result;
-    }
-
-    // Whether the header block has completed decides how an abrupt end of
-    // stream is reported (the error texts are part of the service's 400s).
-    const bool in_body = buffer.find("\r\n\r\n") != std::string::npos;
-    char chunk[8192];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      result.status = in_body ? ReadStatus::malformed : ReadStatus::closed;
-      result.error = std::strerror(errno);
-      return result;
-    }
-    if (n == 0) {
-      if (buffer.empty()) {
-        result.status = ReadStatus::closed;
-      } else {
-        result.status = ReadStatus::malformed;
-        result.error =
-            in_body ? "connection closed mid-body" : "connection closed mid-request";
-      }
-      return result;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
 }
 
 bool write_all(int fd, std::string_view data) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -56,19 +57,27 @@ class LocalTransport : public ShardTransport {
 };
 
 /// Dies for the first `failures` shards (returns nullopt, as a dead HTTP
-/// peer would), then recovers.
+/// peer would), then recovers. Raises `failed_all` after the last failure.
 class FlakyTransport : public LocalTransport {
  public:
-  FlakyTransport(const cloud::Platform& platform, int failures)
-      : LocalTransport(platform), failures_left_(failures) {}
+  FlakyTransport(const cloud::Platform& platform, int failures,
+                 std::atomic<bool>* failed_all)
+      : LocalTransport(platform),
+        failures_left_(failures),
+        failed_all_(failed_all) {}
   std::optional<std::vector<exp::SweepRow>> execute(
       const exp::ShardSpec& shard) override {
-    if (failures_left_.fetch_sub(1) > 0) return std::nullopt;
+    const int left = failures_left_.fetch_sub(1);
+    if (left > 0) {
+      if (left == 1) failed_all_->store(true);
+      return std::nullopt;
+    }
     return LocalTransport::execute(shard);
   }
 
  private:
   std::atomic<int> failures_left_;
+  std::atomic<bool>* failed_all_;
 };
 
 /// Always-correct but slow: holds every lease past the speculation window.
@@ -92,9 +101,10 @@ class SlowTransport : public LocalTransport {
   std::atomic<bool>* started_;
 };
 
-/// Fast worker that politely waits until the straggler holds a lease —
-/// without this the fast worker can finish the whole sweep before the slow
-/// one ever acquires, and the test would assert on a race.
+/// Fast worker that politely waits (up to 2 s) until its peer raises `gate`
+/// — the straggler holds a lease, or the flaky worker has failed its shards.
+/// Without this the fast worker can finish the whole sweep before the peer
+/// ever acquires, and the test would assert on a race.
 class GatedTransport : public LocalTransport {
  public:
   GatedTransport(const cloud::Platform& platform, std::atomic<bool>* gate)
@@ -162,10 +172,11 @@ TEST(RunDistributed, ReissuesShardsLostToAFailingWorker) {
 
   // Worker 0 drops its first three shards on the floor; the tracker must
   // requeue them (fail() path — no lease clock involved) and the sweep must
-  // still merge byte-identically.
+  // still merge byte-identically. Worker 1 waits for those three failures.
+  std::atomic<bool> failed_all{false};
   std::vector<std::shared_ptr<ShardTransport>> workers = {
-      std::make_shared<FlakyTransport>(platform, 3),
-      std::make_shared<LocalTransport>(platform)};
+      std::make_shared<FlakyTransport>(platform, 3, &failed_all),
+      std::make_shared<GatedTransport>(platform, &failed_all)};
   CoordinatorOptions options;
   options.shards_per_worker = 4;
   options.tracker.max_attempts = 8;  // headroom: failures burn attempts
@@ -333,6 +344,37 @@ TEST(PullMode, LeaseEndpointSpeaksTheProtocol) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 400);
 
+  coordinator.stop();
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(PullMode, IdleConnectionsDoNotCostThreads) {
+  CoordinatorServer coordinator(exp::partition_grid(test_grid(), 2),
+                                CoordinatorServer::Config{});
+  coordinator.start();
+  const std::size_t before = thread_count();
+
+  // 32 keep-alive workers, each answered once and then left idle on its
+  // open connection: the coordinator's one loop thread serves them all.
+  std::vector<svc::HttpClient> clients(32);
+  for (svc::HttpClient& client : clients) {
+    ASSERT_TRUE(client.connect("127.0.0.1", coordinator.port()));
+    const auto response = client.request("POST", "/v1/nope");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 404);
+    EXPECT_TRUE(client.connected());
+  }
+  EXPECT_LE(thread_count(), before);
   coordinator.stop();
 }
 

@@ -1,73 +1,106 @@
 // Fuzz target: svc/http request parsing — the exact code path `cloudwf
-// serve` runs on network bytes, driven through a real socketpair so the
-// recv loop, the carry buffer and the pipelining logic are all exercised.
+// serve` and the sweep coordinator run on network bytes. The input is fed
+// to parse_http_request the way svc::EventLoop::process_input consumes a
+// connection: bytes arrive in reads, each `ok` request is erased from the
+// front of the buffer (`consumed` bytes) and the rest is parsed again, so
+// pipelining and the need_more path are both exercised.
 //
-// Properties: read_http_request never hangs (the writer closes), never
-// crashes, and on ok requests respects the configured limits; the keep-alive
-// loop terminates; parse_request_head agrees with itself on its own input.
-#include <sys/socket.h>
-#include <unistd.h>
-
+// Properties: parsing never crashes and always terminates; ok requests
+// respect the configured limits and carry lower-cased, deduplicated header
+// names; every rejection names its error; the verdict does not depend on
+// how the stream was split into reads; parse_request_head fails gracefully
+// on the raw input.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <vector>
 
 #include "svc/http.hpp"
 
+namespace {
+
+using namespace cloudwf::svc;
+
+/// What one connection made of the stream: the requests it answered and
+/// how it ended (need_more = the peer closed, cleanly or mid-request).
+struct Consumed {
+  std::vector<HttpRequest> requests;
+  ParseStatus last = ParseStatus::need_more;
+};
+
+Consumed consume(std::string_view input, std::size_t read_size,
+                 const HttpLimits& limits) {
+  Consumed out;
+  std::string in;
+  std::size_t offset = 0;
+  while (offset < input.size()) {
+    const std::size_t n = std::min(read_size, input.size() - offset);
+    in.append(input.substr(offset, n));
+    offset += n;
+    for (;;) {
+      ParseResult parsed = parse_http_request(in, limits);
+      if (parsed.status == ParseStatus::need_more) break;
+      if (parsed.status != ParseStatus::ok) {
+        if (parsed.error.empty()) __builtin_trap();
+        out.last = parsed.status;
+        return out;  // the loop answers 4xx/501 and closes
+      }
+      if (parsed.consumed == 0 || parsed.consumed > in.size())
+        __builtin_trap();
+      in.erase(0, parsed.consumed);
+      out.requests.push_back(std::move(parsed.request));
+    }
+  }
+  return out;
+}
+
+void check_request(const HttpRequest& request, const HttpLimits& limits) {
+  if (request.body.size() > limits.max_body_bytes) __builtin_trap();
+  if (request.method.empty() || request.target.empty()) __builtin_trap();
+  // Header names were lower-cased and deduplicated by the parser.
+  for (const auto& [name, value] : request.headers) {
+    (void)value;
+    for (const char c : name)
+      if (c >= 'A' && c <= 'Z') __builtin_trap();
+  }
+  (void)request.keep_alive();
+}
+
+bool same(const HttpRequest& a, const HttpRequest& b) {
+  return a.method == b.method && a.target == b.target &&
+         a.version == b.version && a.headers == b.headers && a.body == b.body;
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  using namespace cloudwf::svc;
-
   // Tight limits keep the fuzzer fast and make the too_large paths reachable
   // with small inputs.
   HttpLimits limits;
   limits.max_header_bytes = 1024;
   limits.max_body_bytes = 4096;
 
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return 0;
+  const std::string_view input(reinterpret_cast<const char*>(data), size);
 
-  const std::string input(reinterpret_cast<const char*>(data), size);
-  std::thread writer([&input, fd = fds[1]] {
-    std::size_t off = 0;
-    while (off < input.size()) {
-      const ssize_t n =
-          ::send(fd, input.data() + off, input.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) break;
-      off += static_cast<std::size_t>(n);
-    }
-    ::shutdown(fd, SHUT_WR);
-  });
+  // One read holding the whole stream, and short reads whose length the
+  // input picks (1..16 bytes): both must reach the same verdict.
+  const Consumed whole = consume(input, input.size() + 1, limits);
+  const std::size_t read_size = size == 0 ? 1 : 1 + data[size - 1] % 16;
+  const Consumed split = consume(input, read_size, limits);
 
-  // Serve the connection like svc::Server does: keep reading requests until
-  // the stream ends or turns invalid. Bounded by the input size, so this
-  // always terminates once the writer is done.
-  std::string carry;
-  for (;;) {
-    const ReadResult r = read_http_request(fds[0], carry, limits);
-    if (r.status != ReadStatus::ok) {
-      if (r.status != ReadStatus::closed && r.error.empty()) __builtin_trap();
-      break;
-    }
-    if (r.request.body.size() > limits.max_body_bytes) __builtin_trap();
-    if (r.request.method.empty() || r.request.target.empty())
-      __builtin_trap();
-    // Header names were lower-cased and deduplicated by the parser.
-    for (const auto& [name, value] : r.request.headers) {
-      (void)value;
-      for (const char c : name)
-        if (c >= 'A' && c <= 'Z') __builtin_trap();
-    }
-    (void)r.request.keep_alive();
-  }
-
-  writer.join();
-  ::close(fds[0]);
-  ::close(fds[1]);
+  for (const HttpRequest& request : whole.requests)
+    check_request(request, limits);
+  if (whole.last != split.last ||
+      whole.requests.size() != split.requests.size())
+    __builtin_trap();
+  for (std::size_t i = 0; i < whole.requests.size(); ++i)
+    if (!same(whole.requests[i], split.requests[i])) __builtin_trap();
 
   // Also hit the head parser directly with the raw input (it must fail
-  // gracefully on inputs read_http_request would never hand it).
+  // gracefully on inputs parse_http_request would never hand it).
   std::string error;
   (void)parse_request_head(input, &error);
   return 0;

@@ -1,11 +1,9 @@
-// Wire-layer tests: strict request parsing, response serialization, and
-// socket reads (keep-alive carry, pipelining, size limits) exercised over a
-// socketpair so no port is bound.
+// Wire-layer tests: strict request parsing (pipelining, size limits,
+// framing errors) and response serialization, all on in-memory buffers —
+// the exact bytes svc::EventLoop hands parse_http_request.
 #include "svc/http.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <string>
 
@@ -79,79 +77,55 @@ TEST(HttpSerialize, ReasonPhrasesForServiceStatuses) {
   EXPECT_EQ(reason_phrase(504), "Gateway Timeout");
 }
 
-class SocketPairTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
-  }
-  void TearDown() override {
-    for (const int fd : fds_)
-      if (fd >= 0) ::close(fd);
-  }
-  void close_writer() {
-    ::close(fds_[1]);
-    fds_[1] = -1;
-  }
-  void send_all(const std::string& data) {
-    ASSERT_EQ(::send(fds_[1], data.data(), data.size(), 0),
-              static_cast<ssize_t>(data.size()));
-  }
-
-  int fds_[2] = {-1, -1};
-};
-
-TEST_F(SocketPairTest, ReadsBodyAndKeepsPipelinedLeftovers) {
+TEST(HttpParse, ReadsBodyAndKeepsPipelinedLeftovers) {
   const std::string first =
       "POST /v1/evaluate HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd";
   const std::string second = "GET /health HTTP/1.1\r\n\r\n";
-  send_all(first + second);
-  close_writer();
+  std::string buffer = first + second;
 
-  std::string carry;
-  ReadResult one = read_http_request(fds_[0], carry);
-  ASSERT_EQ(one.status, ReadStatus::ok) << one.error;
+  const ParseResult one = parse_http_request(buffer);
+  ASSERT_EQ(one.status, ParseStatus::ok) << one.error;
   EXPECT_EQ(one.request.body, "abcd");
-  EXPECT_FALSE(carry.empty());  // the second request arrived in the same read
+  EXPECT_LT(one.consumed, buffer.size());  // the second request is left over
+  buffer.erase(0, one.consumed);
 
-  ReadResult two = read_http_request(fds_[0], carry);
-  ASSERT_EQ(two.status, ReadStatus::ok) << two.error;
+  const ParseResult two = parse_http_request(buffer);
+  ASSERT_EQ(two.status, ParseStatus::ok) << two.error;
   EXPECT_EQ(two.request.target, "/health");
-  EXPECT_TRUE(carry.empty());
+  EXPECT_EQ(two.consumed, buffer.size());
+  buffer.erase(0, two.consumed);
 
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::closed);
+  // Nothing left: the loop waits for more bytes (or closes on EOF).
+  EXPECT_EQ(parse_http_request(buffer).status, ParseStatus::need_more);
 }
 
-TEST_F(SocketPairTest, RejectsOversizedDeclaredBody) {
+TEST(HttpParse, RejectsOversizedDeclaredBody) {
   HttpLimits limits;
   limits.max_body_bytes = 16;
-  send_all("POST /v1/evaluate HTTP/1.1\r\nContent-Length: 17\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry, limits).status,
-            ReadStatus::too_large);
+  EXPECT_EQ(parse_http_request(
+                "POST /v1/evaluate HTTP/1.1\r\nContent-Length: 17\r\n\r\n",
+                limits)
+                .status,
+            ParseStatus::too_large);
 }
 
-TEST_F(SocketPairTest, RejectsOversizedHeaderBlock) {
+TEST(HttpParse, RejectsOversizedHeaderBlock) {
   HttpLimits limits;
   limits.max_header_bytes = 64;
-  // No blank-line terminator: the reader must give up once the accumulated
+  // No blank-line terminator: the parser must give up once the accumulated
   // header block passes the limit instead of buffering forever.
-  send_all("GET / HTTP/1.1\r\nX-Pad: " + std::string(128, 'x'));
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry, limits).status,
-            ReadStatus::too_large);
+  EXPECT_EQ(
+      parse_http_request("GET / HTTP/1.1\r\nX-Pad: " + std::string(128, 'x'),
+                         limits)
+          .status,
+      ParseStatus::too_large);
 }
 
-TEST_F(SocketPairTest, MalformedContentLengthIsRejected) {
-  send_all("POST / HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::malformed);
-}
-
-TEST_F(SocketPairTest, PeerCloseMidBodyIsMalformed) {
-  send_all("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nhalf");
-  close_writer();
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::malformed);
+TEST(HttpParse, MalformedContentLengthIsRejected) {
+  EXPECT_EQ(
+      parse_http_request("POST / HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n")
+          .status,
+      ParseStatus::malformed);
 }
 
 // --- regressions found by the fuzz/correctness harness (PR 5) ---
@@ -171,30 +145,52 @@ TEST(HttpParse, RejectsDuplicateHeaders) {
       "GET / HTTP/1.1\r\nX-Tag: a\r\nx-tag: b\r\n\r\n", &error));
 }
 
-TEST_F(SocketPairTest, RejectsTransferEncodingAsNotImplemented) {
+TEST(HttpParse, RejectsTransferEncodingAsNotImplemented) {
   // Pre-fix: Transfer-Encoding was ignored, so the chunked body bytes stayed
   // in the buffer and were parsed as the next pipelined request.
-  send_all(
+  const ParseResult r = parse_http_request(
       "POST /v1/evaluate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
       "4\r\nabcd\r\n0\r\n\r\n");
-  std::string carry;
-  const ReadResult r = read_http_request(fds_[0], carry);
-  EXPECT_EQ(r.status, ReadStatus::not_implemented);
+  EXPECT_EQ(r.status, ParseStatus::not_implemented);
   EXPECT_NE(r.error.find("Transfer-Encoding"), std::string::npos);
 }
 
-TEST_F(SocketPairTest, EmptyContentLengthIsMalformedNotZero) {
-  send_all("POST / HTTP/1.1\r\nContent-Length:\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::malformed);
+TEST(HttpParse, EmptyContentLengthIsMalformedNotZero) {
+  EXPECT_EQ(
+      parse_http_request("POST / HTTP/1.1\r\nContent-Length:\r\n\r\n").status,
+      ParseStatus::malformed);
 }
 
-TEST_F(SocketPairTest, HugeContentLengthCannotOverflow) {
+TEST(HttpParse, HugeContentLengthCannotOverflow) {
   // 20 digits overflow std::size_t if accumulated naively; the limit check
   // inside the digit loop must fire before any wraparound.
-  send_all("POST / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::too_large);
+  EXPECT_EQ(parse_http_request(
+                "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n")
+                .status,
+            ParseStatus::too_large);
+}
+
+TEST(HttpParse, HeaderBlockLimitHoldsWhateverTheReadSplit) {
+  // Pre-fix: the header cap was checked only while the blank line had not
+  // arrived, so an over-long block delivered in one read parsed fine while
+  // the same bytes split across two reads were rejected.
+  HttpLimits limits;
+  limits.max_header_bytes = 64;
+  const std::string wire =
+      "GET / HTTP/1.1\r\nX-Pad: " + std::string(128, 'x') + "\r\n\r\n";
+  EXPECT_EQ(parse_http_request(wire, limits).status, ParseStatus::too_large);
+  EXPECT_EQ(parse_http_request(wire.substr(0, 100), limits).status,
+            ParseStatus::too_large);
+
+  // A block of exactly the cap is accepted, one byte more is not.
+  const std::string head = "GET / HTTP/1.1\r\nX: ";
+  const std::string fits =
+      head + std::string(64 - head.size() - 4, 'y') + "\r\n\r\n";
+  ASSERT_EQ(fits.size(), 64u);
+  EXPECT_EQ(parse_http_request(fits, limits).status, ParseStatus::ok);
+  const std::string over =
+      head + std::string(64 - head.size() - 3, 'y') + "\r\n\r\n";
+  EXPECT_EQ(parse_http_request(over, limits).status, ParseStatus::too_large);
 }
 
 TEST(HttpSerialize, NotImplementedReasonPhrase) {

@@ -4,7 +4,12 @@
 // serial handler answers for the same (strategy, workflow, seed) triples.
 #include "svc/server.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <map>
@@ -75,6 +80,49 @@ TEST_F(ServiceTest, RoutingErrors) {
   response = client_.request("GET", "/v1/evaluate");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 405);
+}
+
+/// Sends `wire` on a fresh raw connection, half-closes the write side and
+/// returns every byte the server wrote before closing its end (at most 5 s
+/// of waiting per read, so a missing answer fails instead of hanging).
+std::string send_and_half_close(std::uint16_t port, const std::string& wire) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string answer;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      write_all(fd, wire) && ::shutdown(fd, SHUT_WR) == 0) {
+    pollfd ready{fd, POLLIN, 0};
+    char chunk[4096];
+    while (::poll(&ready, 1, 5000) == 1) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n <= 0) break;
+      answer.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(fd);
+  return answer;
+}
+
+TEST_F(ServiceTest, PeerCloseMidBodyIsMalformed) {
+  const std::string answer = send_and_half_close(
+      server_->port(),
+      "POST /v1/evaluate HTTP/1.1\r\nContent-Length: 10\r\n\r\nhalf");
+  EXPECT_EQ(answer.rfind("HTTP/1.1 400 ", 0), 0u) << answer;
+  EXPECT_NE(answer.find("connection closed mid-body"), std::string::npos)
+      << answer;
+}
+
+TEST_F(ServiceTest, PeerCloseMidRequestIsMalformed) {
+  const std::string answer = send_and_half_close(
+      server_->port(),
+      "POST /v1/evaluate HTTP/1.1\r\nContent-Length: 10\r\n");
+  EXPECT_EQ(answer.rfind("HTTP/1.1 400 ", 0), 0u) << answer;
+  EXPECT_NE(answer.find("connection closed mid-request"), std::string::npos)
+      << answer;
 }
 
 TEST_F(ServiceTest, MalformedJsonAnswers400WithByteOffset) {
@@ -365,16 +413,18 @@ TEST(ServiceOverload, OverCapacityLoadIsRejectedNotQueued) {
   std::atomic<int> ok{0}, rejected{0}, other{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       HttpClient client;
       if (!client.connect("127.0.0.1", server.port())) {
         ++other;
         return;
       }
       // rank = 19 strategy evaluations, so the single worker stays busy
-      // long enough for the queue bound to bite.
+      // long enough for the queue bound to bite. A distinct seed per client
+      // keeps the response cache from answering before the bound does.
       const auto response = client.request(
-          "POST", "/v1/rank", R"({"workflow":"cybershake","seed":0})");
+          "POST", "/v1/rank",
+          R"({"workflow":"cybershake","seed":)" + std::to_string(t) + "}");
       if (!response) ++other;
       else if (response->status == 200) ++ok;
       else if (response->status == 429) ++rejected;
