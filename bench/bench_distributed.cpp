@@ -38,8 +38,9 @@
 #include "exp/sweep_grid.hpp"
 #include "scheduling/factory.hpp"
 #include "util/parse.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
+
+#include "harness.hpp"
 
 namespace {
 
@@ -67,29 +68,6 @@ class RemoteEmulatingTransport : public cloudwf::dist::ShardTransport {
   const cloudwf::cloud::Platform& platform_;
   std::chrono::milliseconds remote_;
 };
-
-/// Same fixed CPU-bound kernel as bench_parallel_sweep / bench_service: the
-/// regression gate compares cost x calibration so host speed cancels out.
-double calibration_ms() {
-  const auto timed = [] {
-    const Clock::time_point start = Clock::now();
-    std::uint64_t state = 0x1db2013, acc = 0;
-    for (int i = 0; i < 32'000'000; ++i)
-      acc ^= cloudwf::util::splitmix64(state);
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-    return acc == 0 ? ms + 1e-9 : ms;
-  };
-  std::vector<double> samples = {timed(), timed(), timed()};
-  std::sort(samples.begin(), samples.end());
-  return samples[1];
-}
-
-double median3(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
 
 }  // namespace
 
@@ -157,7 +135,7 @@ int main(int argc, char** argv) {
             .count());
     if (r == 0) serial_rows = std::move(rows);
   }
-  const double median_serial = median3(serial_samples);
+  const double median_serial = cloudwf::bench::median(serial_samples);
   std::cout << "  serial      " << format_double(median_serial, 1)
             << " ms (median of " << reps << ")\n";
 
@@ -190,7 +168,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    medians[i] = median3(samples);
+    medians[i] = cloudwf::bench::median(samples);
     std::cout << "  " << count << " worker" << (count == 1 ? " " : "s")
               << "    " << format_double(medians[i], 1) << " ms  (speedup "
               << format_double(medians[0] / medians[i], 2)
@@ -201,7 +179,7 @@ int main(int argc, char** argv) {
   const double speedup_4x = medians[0] / medians[2];
 
   if (!json_path.empty()) {
-    const double cal = calibration_ms();
+    const double cal = cloudwf::bench::calibration_ms();
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "error: cannot write " << json_path << '\n';

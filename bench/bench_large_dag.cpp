@@ -23,9 +23,10 @@
 #include "dag/science.hpp"
 #include "exp/experiment.hpp"
 #include "exp/parallel.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+
+#include "harness.hpp"
 
 namespace {
 
@@ -33,17 +34,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// The fixed CPU-bound kernel shared with bench_parallel_sweep: the
-/// regression gate compares sweep/calibration ratios so host drift moves
-/// both numbers together.
-double timed_calibration() {
-  const auto start = Clock::now();
-  std::uint64_t state = 0x1db2013, acc = 0;
-  for (int i = 0; i < 32'000'000; ++i) acc ^= cloudwf::util::splitmix64(state);
-  const double ms = ms_since(start);
-  return acc == 0 ? ms + 1e-9 : ms;
 }
 
 }  // namespace
@@ -102,13 +92,9 @@ int main(int argc, char** argv) {
     std::vector<double> samples;
     samples.reserve(kRepeats);
     for (int r = 0; r < kRepeats; ++r) samples.push_back(timed_run_all(wf).second);
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
+    const double median = cloudwf::bench::median(samples);
 
-    std::vector<double> cal = {timed_calibration(), timed_calibration(),
-                               timed_calibration()};
-    std::sort(cal.begin(), cal.end());
+    const double calibration = cloudwf::bench::calibration_ms();
 
     std::ofstream out(json_path);
     if (!out) {
@@ -129,7 +115,7 @@ int main(int argc, char** argv) {
       out << (i ? ", " : "") << util::format_double(samples[i], 3);
     out << "],\n"
         << "  \"median_serial_ms\": " << util::format_double(median, 3) << ",\n"
-        << "  \"calibration_ms\": " << util::format_double(cal[1], 3) << "\n"
+        << "  \"calibration_ms\": " << util::format_double(calibration, 3) << "\n"
         << "}\n";
     std::cout << wf.name() << " @ " << wf.task_count() << " tasks: median "
               << util::format_double(median, 1) << " ms over " << kRepeats

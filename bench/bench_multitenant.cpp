@@ -29,23 +29,14 @@
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
+#include "harness.hpp"
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// The fixed CPU-bound kernel shared with bench_parallel_sweep: the
-/// regression gate compares bench/calibration ratios so host drift moves
-/// both numbers together.
-double timed_calibration() {
-  const auto start = Clock::now();
-  std::uint64_t state = 0x1db2013, acc = 0;
-  for (int i = 0; i < 32'000'000; ++i) acc ^= cloudwf::util::splitmix64(state);
-  const double ms = ms_since(start);
-  return acc == 0 ? ms + 1e-9 : ms;
 }
 
 }  // namespace
@@ -135,13 +126,9 @@ int main(int argc, char** argv) {
     std::vector<double> samples;
     samples.reserve(kRepeats);
     for (int r = 0; r < kRepeats; ++r) samples.push_back(timed_all_policies());
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
+    const double median = cloudwf::bench::median(samples);
 
-    std::vector<double> cal = {timed_calibration(), timed_calibration(),
-                               timed_calibration()};
-    std::sort(cal.begin(), cal.end());
+    const double calibration = cloudwf::bench::calibration_ms();
 
     std::ofstream out(json_path);
     if (!out) {
@@ -162,7 +149,7 @@ int main(int argc, char** argv) {
       out << (i ? ", " : "") << util::format_double(samples[i], 3);
     out << "],\n"
         << "  \"median_serial_ms\": " << util::format_double(median, 3) << ",\n"
-        << "  \"calibration_ms\": " << util::format_double(cal[1], 3) << "\n"
+        << "  \"calibration_ms\": " << util::format_double(calibration, 3) << "\n"
         << "}\n";
     std::cout << tenant_count << " tenants x " << job_count << " jobs of "
               << wf.task_count() << " tasks, all policies: median "

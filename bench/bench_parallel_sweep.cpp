@@ -26,9 +26,10 @@
 #include "exp/parallel.hpp"
 #include "exp/seed_sweep.hpp"
 #include "util/parse.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+
+#include "harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace cloudwf;
@@ -76,28 +77,8 @@ int main(int argc, char** argv) {
     std::vector<double> samples;
     samples.reserve(kRepeats);
     for (int r = 0; r < kRepeats; ++r) samples.push_back(timed_sweep(1).second);
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
-
-    // Calibration anchor: a fixed CPU-bound kernel timed in the same
-    // process. The regression gate compares sweep/calibration ratios, so a
-    // slower (or faster) host moves both numbers together instead of
-    // tripping the threshold on machine drift.
-    const auto timed_calibration = [] {
-      const auto start = Clock::now();
-      std::uint64_t state = 0x1db2013, acc = 0;
-      for (int i = 0; i < 32'000'000; ++i) acc ^= util::splitmix64(state);
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count();
-      // acc escapes through the comparison so the loop cannot fold away.
-      return acc == 0 ? ms + 1e-9 : ms;
-    };
-    std::vector<double> cal = {timed_calibration(), timed_calibration(),
-                               timed_calibration()};
-    std::sort(cal.begin(), cal.end());
-    const double calibration = cal[1];
+    const double median = bench::median(samples);
+    const double calibration = bench::calibration_ms();
 
     std::ofstream out(json_path);
     if (!out) {

@@ -24,9 +24,10 @@
 #include "svc/http.hpp"
 #include "svc/server.hpp"
 #include "util/parse.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
+
+#include "harness.hpp"
 
 namespace {
 
@@ -91,22 +92,6 @@ LoadReport run_closed_loop(std::uint16_t port, std::size_t requests,
   }
   std::sort(total.latencies_ms.begin(), total.latencies_ms.end());
   return total;
-}
-
-/// Same fixed CPU-bound kernel as bench_parallel_sweep: the regression gate
-/// compares throughput x calibration so host speed cancels out.
-double calibration_ms() {
-  const auto timed = [] {
-    const Clock::time_point start = Clock::now();
-    std::uint64_t state = 0x1db2013, acc = 0;
-    for (int i = 0; i < 32'000'000; ++i) acc ^= cloudwf::util::splitmix64(state);
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-    return acc == 0 ? ms + 1e-9 : ms;
-  };
-  std::vector<double> samples = {timed(), timed(), timed()};
-  std::sort(samples.begin(), samples.end());
-  return samples[1];
 }
 
 }  // namespace
@@ -183,7 +168,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    const double cal = calibration_ms();
+    const double cal = cloudwf::bench::calibration_ms();
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "FAIL: cannot write " << json_path << '\n';

@@ -245,10 +245,11 @@ DifferentialResult run_differential(
         complain(fast_run.strategy, "both", "relative", relative_diff);
     }
 
-    // The fast path validated its schedules internally (validate_or_throw in
-    // run_one_on); the oracle additionally certifies billing + metrics, so
-    // re-run the fast side through the oracle too. Rebuilding the schedule
-    // off the same shared-cache workflow reproduces the fast path exactly.
+    // The fast path checked its schedules' structure internally
+    // (validate_or_throw in run_one_on); the oracle repeats that and adds
+    // boot, billing and metrics, so re-run the fast side through the oracle
+    // too. Rebuilding the schedule off the same shared-cache workflow
+    // reproduces the fast path exactly.
     for (const scheduling::Strategy& strategy : strategies) {
       const sim::Schedule schedule =
           strategy.scheduler->run(materialized, platform);

@@ -1,27 +1,16 @@
 #include "check/mt_oracle.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
-#include "cloud/billing.hpp"
 #include "dag/structure_cache.hpp"
 #include "tenant/billing.hpp"
 
 namespace cloudwf::check {
 
 namespace {
-
-/// Independent BTU quantization (same rationale as check/oracle.cpp: not
-/// cloud::btus_for, so a regression there is caught rather than mirrored).
-std::int64_t mt_btus(util::Seconds span) {
-  if (span <= 0) return 1;
-  return static_cast<std::int64_t>(
-      std::ceil((span - util::kTimeEpsilon) / util::kBtu));
-}
 
 class MtChecker {
  public:
@@ -253,35 +242,12 @@ class MtChecker {
   /// Per-VM BTUs re-derived by the rent/stop replay, then the attributor's
   /// per-tenant bills recomposed against the pool's own rental cost.
   void check_billing() {
+    std::vector<ReplaySession> sessions;
     for (const cloud::Vm& vm : result_.pool.vms()) {
-      std::vector<cloud::Placement> ps(vm.placements());
-      std::sort(ps.begin(), ps.end(),
-                [](const cloud::Placement& x, const cloud::Placement& y) {
-                  return x.start < y.start;
-                });
+      placement_sessions(vm, sessions);
       std::int64_t btus = 0;
-      std::size_t sessions = 0;
-      util::Seconds session_start = 0;
-      util::Seconds session_end = 0;
-      for (const cloud::Placement& p : ps) {
-        if (sessions == 0) {
-          session_start = p.start;
-          session_end = p.end;
-          sessions = 1;
-          continue;
-        }
-        const util::Seconds paid_end =
-            session_start +
-            static_cast<util::Seconds>(mt_btus(session_end - session_start)) *
-                util::kBtu;
-        if (util::time_gt(p.start, paid_end)) {
-          btus += mt_btus(session_end - session_start);
-          session_start = p.start;
-          ++sessions;
-        }
-        session_end = p.end;
-      }
-      if (sessions > 0) btus += mt_btus(session_end - session_start);
+      for (const ReplaySession& session : sessions)
+        btus += oracle_btus(session.end - session.start);
       if (btus != vm.btus())
         complain("billing", "VM " + std::to_string(vm.id()) + " bills " +
                                 std::to_string(vm.btus()) +
@@ -319,16 +285,6 @@ OracleReport check_multi_tenant(const tenant::TenantRegistry& registry,
                                 const tenant::MultiTenantResult& result,
                                 const cloud::Platform& platform) {
   return MtChecker(registry, jobs, result, platform).run();
-}
-
-void check_multi_tenant_or_throw(const tenant::TenantRegistry& registry,
-                                 std::span<const tenant::JobSpec> jobs,
-                                 const tenant::MultiTenantResult& result,
-                                 const cloud::Platform& platform) {
-  const OracleReport report =
-      check_multi_tenant(registry, jobs, result, platform);
-  if (!report.ok())
-    throw std::logic_error("multi-tenant oracle: " + report.to_string());
 }
 
 }  // namespace cloudwf::check

@@ -19,9 +19,10 @@
 //                   placements, ends processed before starts at a tie);
 //   isolation       under the exclusive policy, every placement on a VM
 //                   belongs to the tenant that rented it;
-//   billing         per-VM BTUs re-derived by the rent/stop replay match
-//                   the pool, and tenant::attribute_billing's per-tenant
-//                   bills recompose bitwise to the pool's rental cost.
+//   billing         per-VM BTUs re-derived by check/oracle's rent/stop
+//                   segmentation and BTU quantizer match the pool, and
+//                   tenant::attribute_billing's per-tenant bills recompose
+//                   bitwise to the pool's rental cost.
 #pragma once
 
 #include <span>
@@ -37,11 +38,5 @@ namespace cloudwf::check {
     const tenant::TenantRegistry& registry,
     std::span<const tenant::JobSpec> jobs,
     const tenant::MultiTenantResult& result, const cloud::Platform& platform);
-
-/// Throws std::logic_error with the report text if any invariant is broken.
-void check_multi_tenant_or_throw(const tenant::TenantRegistry& registry,
-                                 std::span<const tenant::JobSpec> jobs,
-                                 const tenant::MultiTenantResult& result,
-                                 const cloud::Platform& platform);
 
 }  // namespace cloudwf::check

@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "cloud/vm_billing.hpp"
 
 namespace cloudwf::check {
-
-util::Json Violation::to_json() const {
-  util::Json v = util::Json::object();
-  v["invariant"] = invariant;
-  v["detail"] = detail;
-  return v;
-}
 
 util::Json OracleReport::to_json() const {
   util::Json r = util::Json::object();
@@ -36,157 +28,99 @@ std::string OracleReport::to_string() const {
   return os.str();
 }
 
-namespace {
-
-/// Independent BTU quantization — deliberately not cloud::btus_for, so a
-/// regression there is caught rather than mirrored. Spec (Sect. IV-A): a
-/// started rental pays at least one whole 3600 s unit; spans on a BTU
-/// boundary (within the schedule-time slack) pay exactly that many.
 std::int64_t oracle_btus(util::Seconds span) {
   if (span <= util::kTimeEpsilon) return 1;
   return static_cast<std::int64_t>(
       std::ceil((span - util::kTimeEpsilon) / util::kBtu));
 }
 
+void rent_stop(std::vector<ReplaySession>& sessions, util::Seconds start,
+               util::Seconds end) {
+  if (!sessions.empty()) {
+    ReplaySession& open = sessions.back();
+    const util::Seconds paid_end =
+        open.start +
+        static_cast<util::Seconds>(oracle_btus(open.end - open.start)) *
+            util::kBtu;
+    if (!util::time_gt(start, paid_end)) {
+      open.end = std::max(open.end, end);
+      return;
+    }
+  }
+  sessions.push_back({start, end});
+}
+
+void placement_sessions(const cloud::Vm& vm,
+                        std::vector<ReplaySession>& sessions) {
+  std::vector<cloud::Placement> ps(vm.placements());
+  std::sort(ps.begin(), ps.end(),
+            [](const cloud::Placement& x, const cloud::Placement& y) {
+              return x.start < y.start;
+            });
+  sessions.clear();
+  for (const cloud::Placement& p : ps) rent_stop(sessions, p.start, p.end);
+}
+
+namespace {
+
 std::string task_label(const dag::Workflow& wf, dag::TaskId t) {
   return "task '" + wf.task(t).name + "' (#" + std::to_string(t) + ")";
 }
 
+struct ReplayBill {
+  std::int64_t btus = 0;
+  util::Money cost;
+};
+
+/// Prices one VM's re-derived sessions straight from the region table.
+/// Under scenario billing the first session's meter starts at the cold-start
+/// anchor (it runs while the instance provisions) and each BTU pays the
+/// price fraction in force at its start; otherwise each BTU pays list price.
+/// Never touches Vm::sessions() or vm_bill's arithmetic — those are what the
+/// oracle certifies.
+ReplayBill price_sessions(const std::vector<ReplaySession>& sessions,
+                          const cloud::Vm& vm,
+                          const cloud::Platform& platform) {
+  const bool scenario = platform.scenario_billing_active();
+  const cloud::PriceSchedule* prices = platform.price_schedule();
+  const util::Seconds cold =
+      scenario ? platform.cold_start_delay(vm.size(), vm.region()) : 0.0;
+  const util::Money list = platform.region(vm.region()).price(vm.size());
+  ReplayBill bill;
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const util::Seconds anchor =
+        i == 0 ? sessions[i].start - cold : sessions[i].start;
+    const std::int64_t n = oracle_btus(sessions[i].end - anchor);
+    bill.btus += n;
+    if (scenario && prices != nullptr) {
+      for (std::int64_t k = 0; k < n; ++k)
+        bill.cost += list.scaled(prices->fraction_at(
+            vm.size(), anchor + static_cast<util::Seconds>(k) * util::kBtu));
+    } else {
+      bill.cost += list * n;
+    }
+  }
+  return bill;
+}
+
+/// The accounting invariants, run over a schedule whose assignments
+/// sim::validate_into found usable.
 class Checker {
  public:
   Checker(const dag::Workflow& wf, const sim::Schedule& schedule,
-          const cloud::Platform& platform)
-      : wf_(wf), schedule_(schedule), platform_(platform) {}
+          const cloud::Platform& platform, std::vector<Violation>& violations)
+      : wf_(wf), schedule_(schedule), platform_(platform),
+        violations_(violations) {}
 
-  OracleReport run() {
-    report_.workflow = wf_.name();
-    if (!check_assignments()) return std::move(report_);
-    check_table_vs_timelines();
-    check_overlap();
-    check_precedence();
+  void run() {
     check_boot();
     check_billing();
     check_metrics();
-    return std::move(report_);
   }
 
  private:
   void complain(std::string invariant, std::string detail) {
-    report_.violations.push_back(
-        Violation{std::move(invariant), std::move(detail)});
-  }
-
-  /// Assignment sanity: every task assigned once to a real VM, with finite
-  /// nonnegative times and the duration the platform model dictates.
-  /// Returns false when later checks would dereference invalid assignments.
-  bool check_assignments() {
-    if (schedule_.task_count() != wf_.task_count()) {
-      complain("assignment",
-               "schedule sized for " + std::to_string(schedule_.task_count()) +
-                   " tasks but workflow has " +
-                   std::to_string(wf_.task_count()));
-      return false;
-    }
-    bool usable = true;
-    const cloud::VmPool& pool = schedule_.pool();
-    for (const dag::Task& t : wf_.tasks()) {
-      if (!schedule_.is_assigned(t.id)) {
-        complain("assignment", task_label(wf_, t.id) + " is unassigned");
-        usable = false;
-        continue;
-      }
-      const sim::Assignment& a = schedule_.assignment(t.id);
-      if (a.vm >= pool.size()) {
-        complain("assignment", task_label(wf_, t.id) +
-                                   " assigned to nonexistent VM " +
-                                   std::to_string(a.vm));
-        usable = false;
-        continue;
-      }
-      if (!std::isfinite(a.start) || !std::isfinite(a.end)) {
-        complain("assignment",
-                 task_label(wf_, t.id) + " has non-finite start/end");
-        usable = false;
-        continue;
-      }
-      if (a.start < -util::kTimeEpsilon)
-        complain("assignment", task_label(wf_, t.id) + " starts before time 0");
-      if (a.end < a.start - util::kTimeEpsilon)
-        complain("assignment", task_label(wf_, t.id) + " ends before it starts");
-      const cloud::Vm& vm = pool.vm(a.vm);
-      const util::Seconds expected = cloud::exec_time(t.work, vm.size());
-      if (!util::time_eq(a.duration(), expected)) {
-        std::ostringstream os;
-        os << task_label(wf_, t.id) << " duration " << a.duration()
-           << "s != work/speedup = " << expected << "s on "
-           << cloud::name_of(vm.size());
-        complain("duration", os.str());
-      }
-    }
-    return usable;
-  }
-
-  void check_table_vs_timelines() {
-    std::size_t placement_count = 0;
-    for (const cloud::Vm& vm : schedule_.pool().vms()) {
-      for (const cloud::Placement& p : vm.placements()) {
-        ++placement_count;
-        if (p.task >= wf_.task_count()) {
-          complain("table-timeline", "VM " + std::to_string(vm.id()) +
-                                         " hosts nonexistent task #" +
-                                         std::to_string(p.task));
-          continue;
-        }
-        const sim::Assignment& a = schedule_.assignment(p.task);
-        if (a.vm != vm.id() || !util::time_eq(a.start, p.start) ||
-            !util::time_eq(a.end, p.end))
-          complain("table-timeline",
-                   task_label(wf_, p.task) + " placement on VM " +
-                       std::to_string(vm.id()) +
-                       " disagrees with the task table");
-      }
-    }
-    if (placement_count != wf_.task_count())
-      complain("table-timeline",
-               "VM timelines hold " + std::to_string(placement_count) +
-                   " placements for " + std::to_string(wf_.task_count()) +
-                   " tasks");
-  }
-
-  void check_overlap() {
-    for (const cloud::Vm& vm : schedule_.pool().vms()) {
-      std::vector<cloud::Placement> ps(vm.placements());
-      std::sort(ps.begin(), ps.end(),
-                [](const cloud::Placement& x, const cloud::Placement& y) {
-                  return x.start < y.start;
-                });
-      for (std::size_t i = 1; i < ps.size(); ++i) {
-        if (util::time_gt(ps[i - 1].end, ps[i].start))
-          complain("overlap", "VM " + std::to_string(vm.id()) + ": " +
-                                  task_label(wf_, ps[i - 1].task) +
-                                  " overlaps " + task_label(wf_, ps[i].task));
-      }
-    }
-  }
-
-  void check_precedence() {
-    const cloud::VmPool& pool = schedule_.pool();
-    for (const dag::Edge& e : wf_.edges()) {
-      if (!schedule_.is_assigned(e.from) || !schedule_.is_assigned(e.to))
-        continue;  // already reported by check_assignments
-      const sim::Assignment& from = schedule_.assignment(e.from);
-      const sim::Assignment& to = schedule_.assignment(e.to);
-      if (from.vm >= pool.size() || to.vm >= pool.size()) continue;
-      const util::Seconds transfer = platform_.transfer_time(
-          wf_.edge_data(e.from, e.to), pool.vm(from.vm), pool.vm(to.vm));
-      if (util::time_gt(from.end + transfer, to.start)) {
-        std::ostringstream os;
-        os << task_label(wf_, e.to) << " starts at " << to.start << "s but "
-           << task_label(wf_, e.from) << " finishes at " << from.end
-           << "s + transfer " << transfer << "s";
-        complain("precedence", os.str());
-      }
-    }
+    violations_.push_back(Violation{std::move(invariant), std::move(detail)});
   }
 
   /// No task may start before its VM has booted. The model boots every VM
@@ -210,63 +144,16 @@ class Checker {
   }
 
   /// Recomputes the whole bill from raw placements: sessions re-derived by
-  /// the rent/stop rule (a placement past the running session's paid window
-  /// means the VM was released at that boundary and rented anew), BTUs by
-  /// the independent quantizer, prices straight from the region table. Under
-  /// scenario billing the oracle applies its own cold-start anchor shift and
-  /// its own per-BTU fraction lookups, never touching Vm::sessions() or
-  /// vm_bill's arithmetic — those are what it certifies.
+  /// rent_stop, BTUs by the independent quantizer, prices by
+  /// price_sessions — then compared with vm_bill and the pool's total.
   void check_billing() {
     const cloud::VmPool& pool = schedule_.pool();
-    const bool scenario = platform_.scenario_billing_active();
-    const cloud::PriceSchedule* prices = platform_.price_schedule();
     util::Money recomputed_total;
     bool per_vm_ok = true;
+    std::vector<ReplaySession> sessions;
     for (const cloud::Vm& vm : pool.vms()) {
-      std::vector<cloud::Placement> ps(vm.placements());
-      std::sort(ps.begin(), ps.end(),
-                [](const cloud::Placement& x, const cloud::Placement& y) {
-                  return x.start < y.start;
-                });
-      // Session intervals re-derived from raw placements alone.
-      std::vector<std::pair<util::Seconds, util::Seconds>> sessions;
-      for (const cloud::Placement& p : ps) {
-        if (sessions.empty()) {
-          sessions.emplace_back(p.start, p.end);
-          continue;
-        }
-        auto& cur = sessions.back();
-        const util::Seconds paid_end =
-            cur.first + static_cast<util::Seconds>(
-                            oracle_btus(cur.second - cur.first)) *
-                            util::kBtu;
-        if (util::time_gt(p.start, paid_end)) {
-          // The VM sat idle past a paid boundary: stop event, then re-rent.
-          sessions.emplace_back(p.start, p.end);
-        } else {
-          cur.second = p.end;
-        }
-      }
-
-      const util::Seconds cold =
-          scenario ? platform_.cold_start_delay(vm.size(), vm.region()) : 0.0;
-      const util::Money list = platform_.region(vm.region()).price(vm.size());
-      std::int64_t btus = 0;
-      util::Money cost;
-      for (std::size_t i = 0; i < sessions.size(); ++i) {
-        // The first session's meter runs while the instance provisions.
-        const util::Seconds anchor =
-            i == 0 ? sessions[i].first - cold : sessions[i].first;
-        const std::int64_t n = oracle_btus(sessions[i].second - anchor);
-        btus += n;
-        if (scenario && prices != nullptr) {
-          for (std::int64_t k = 0; k < n; ++k)
-            cost += list.scaled(prices->fraction_at(
-                vm.size(), anchor + static_cast<util::Seconds>(k) * util::kBtu));
-        } else {
-          cost += list * n;
-        }
-      }
+      placement_sessions(vm, sessions);
+      const auto [btus, cost] = price_sessions(sessions, vm, platform_);
 
       const cloud::VmBill fast = cloud::vm_bill(vm, platform_);
       if (btus != fast.btus) {
@@ -288,8 +175,9 @@ class Checker {
       recomputed_total += cost;
     }
     const util::Money pool_total =
-        scenario ? cloud::pool_rental_cost(pool, platform_)
-                 : pool.rental_cost(platform_.regions());
+        platform_.scenario_billing_active()
+            ? cloud::pool_rental_cost(pool, platform_)
+            : pool.rental_cost(platform_.regions());
     if (per_vm_ok && recomputed_total != pool_total)
       complain("billing", "pool rental cost " + pool_total.to_string() +
                               " != independently recomputed " +
@@ -300,7 +188,7 @@ class Checker {
   /// or the pool's summations. Money compares exactly; seconds within the
   /// schedule-time slack.
   void check_metrics() {
-    if (!schedule_.complete() || !report_.violations.empty())
+    if (!schedule_.complete() || !violations_.empty())
       return;  // aggregates of a broken schedule are meaningless
     const sim::ScheduleMetrics m =
         sim::compute_metrics(wf_, schedule_, platform_);
@@ -379,7 +267,7 @@ class Checker {
   const dag::Workflow& wf_;
   const sim::Schedule& schedule_;
   const cloud::Platform& platform_;
-  OracleReport report_;
+  std::vector<Violation>& violations_;
 };
 
 }  // namespace
@@ -387,16 +275,11 @@ class Checker {
 OracleReport check_schedule(const dag::Workflow& wf,
                             const sim::Schedule& schedule,
                             const cloud::Platform& platform) {
-  return Checker(wf, schedule, platform).run();
-}
-
-void check_schedule_or_throw(const dag::Workflow& wf,
-                             const sim::Schedule& schedule,
-                             const cloud::Platform& platform) {
-  const OracleReport report = check_schedule(wf, schedule, platform);
-  if (report.ok()) return;
-  throw std::logic_error("oracle: infeasible schedule for workflow '" +
-                         wf.name() + "':\n" + report.to_string());
+  OracleReport report;
+  report.workflow = wf.name();
+  if (sim::validate_into(wf, schedule, platform, report.violations))
+    Checker(wf, schedule, platform, report.violations).run();
+  return report;
 }
 
 ReplayAudit check_faulty_replay(const dag::Workflow& wf,
@@ -469,11 +352,10 @@ ReplayAudit check_faulty_replay(const dag::Workflow& wf,
   // stretched intervals, and the bill re-derived from them (rent/stop
   // session segmentation, Table II prices — with the cold-start anchor and
   // per-BTU price fractions applied when scenario billing is installed).
-  const bool scenario_billing = platform.scenario_billing_active();
-  const cloud::PriceSchedule* price_schedule = platform.price_schedule();
+  std::vector<ReplaySession> sessions;
   for (const cloud::Vm& vm : pool.vms()) {
     const auto& ps = vm.placements();
-    std::vector<std::pair<util::Seconds, util::Seconds>> sessions;
+    sessions.clear();
     for (std::size_t i = 0; i < ps.size(); ++i) {
       const sim::ReplayedTask& cur = replay.tasks[ps[i].task];
       audit.replayed_busy += cur.end - cur.start;
@@ -490,38 +372,11 @@ ReplayAudit check_faulty_replay(const dag::Workflow& wf,
                        task_label(wf, ps[i - 1].task) + " overlaps " +
                        task_label(wf, ps[i].task));
       }
-      if (sessions.empty()) {
-        sessions.emplace_back(cur.start, cur.end);
-        continue;
-      }
-      auto& open = sessions.back();
-      const util::Seconds paid_end =
-          open.first + static_cast<util::Seconds>(
-                           oracle_btus(open.second - open.first)) *
-                           util::kBtu;
-      if (util::time_gt(cur.start, paid_end))
-        sessions.emplace_back(cur.start, cur.end);
-      else
-        open.second = std::max(open.second, cur.end);
+      rent_stop(sessions, cur.start, cur.end);
     }
-    const util::Seconds cold =
-        scenario_billing ? platform.cold_start_delay(vm.size(), vm.region())
-                         : 0.0;
-    const util::Money list = platform.region(vm.region()).price(vm.size());
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      const util::Seconds anchor =
-          i == 0 ? sessions[i].first - cold : sessions[i].first;
-      const std::int64_t session_btus =
-          oracle_btus(sessions[i].second - anchor);
-      audit.replayed_btus += session_btus;
-      if (scenario_billing && price_schedule != nullptr) {
-        for (std::int64_t k = 0; k < session_btus; ++k)
-          audit.replayed_vm_cost += list.scaled(price_schedule->fraction_at(
-              vm.size(), anchor + static_cast<util::Seconds>(k) * util::kBtu));
-      } else {
-        audit.replayed_vm_cost += list * session_btus;
-      }
-    }
+    const ReplayBill bill = price_sessions(sessions, vm, platform);
+    audit.replayed_btus += bill.btus;
+    audit.replayed_vm_cost += bill.cost;
   }
 
   // Precedence across the stretched timeline, transfers included.

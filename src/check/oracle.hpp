@@ -1,18 +1,13 @@
 // Schedule-invariant oracle: the complete, independent feasibility +
 // accounting checker behind the correctness harness.
 //
-// sim/validator answers "is this schedule structurally feasible" with
-// human-readable strings; the oracle re-derives *every* platform-model
-// invariant the paper's comparison rests on (Sect. II/III) from raw
-// placements and prices, and reports violations machine-readably so the
+// check_schedule runs sim::validate's five structural invariants
+// (sim/validator.hpp: assignment, duration, table-timeline, overlap,
+// precedence) and, when every assignment is usable, re-derives the
+// accounting invariants the paper's comparison rests on (Sect. II/IV-A)
+// from raw placements and prices. Violations are machine-readable, so the
 // differential engine, the fuzz drivers and CI can gate on them:
 //
-//   assignment      every task assigned exactly once, to an existing VM;
-//   duration        task duration == work / speedup(size) on its VM;
-//   table-timeline  the task table and the VM placement timelines agree;
-//   overlap         placements on one VM never overlap (exclusive VMs);
-//   precedence      start(t) >= finish(p) + transfer(p -> t) on the
-//                   assigned endpoints, for every edge;
 //   boot            no task starts before the platform's boot delay;
 //   billing         BTU cost recomputed from raw placements (session
 //                   segmentation + Table II prices) == the pool's answer;
@@ -21,6 +16,9 @@
 //
 // None of the checks consult Vm::Session, VmPool's indices or the
 // StructureCache — a bug in any of those caches cannot hide from the oracle.
+// The BTU quantizer and the rent/stop session segmentation below are the
+// ones every bill replay in check/ uses (this oracle, check_faulty_replay
+// and check/mt_oracle).
 //
 // check_faulty_replay extends the oracle to fault-injected replays
 // (sim/faults.hpp): the retry-stretched intervals must still respect
@@ -38,18 +36,14 @@
 #include "sim/faults.hpp"
 #include "sim/metrics.hpp"
 #include "sim/schedule.hpp"
+#include "sim/validator.hpp"
 #include "util/json.hpp"
 
 namespace cloudwf::check {
 
-/// One broken invariant. `invariant` is a stable machine-readable code from
-/// the list above; `detail` is the human-readable specifics.
-struct Violation {
-  std::string invariant;
-  std::string detail;
-
-  [[nodiscard]] util::Json to_json() const;
-};
+/// One broken invariant: a stable code from the lists above (or
+/// sim/validator.hpp's) plus the human-readable specifics.
+using Violation = sim::Violation;
 
 /// Result of running the oracle over one (workflow, schedule) pair.
 struct OracleReport {
@@ -70,10 +64,30 @@ struct OracleReport {
                                           const sim::Schedule& schedule,
                                           const cloud::Platform& platform);
 
-/// Throws std::logic_error with the report text if any invariant is broken.
-void check_schedule_or_throw(const dag::Workflow& wf,
-                             const sim::Schedule& schedule,
-                             const cloud::Platform& platform);
+/// The oracle's BTU quantizer — deliberately not cloud::btus_for, so a
+/// regression there is caught rather than mirrored. Spec (Sect. IV-A): a
+/// started rental pays at least one whole 3600 s unit; spans on a BTU
+/// boundary (within the schedule-time slack) pay exactly that many.
+[[nodiscard]] std::int64_t oracle_btus(util::Seconds span);
+
+/// One rental session re-derived from raw run intervals.
+struct ReplaySession {
+  util::Seconds start = 0;
+  util::Seconds end = 0;
+};
+
+/// Rent/stop session segmentation, fed one VM's run intervals one at a time
+/// in run order. An interval that starts past the open session's paid
+/// window (oracle_btus whole BTUs from the session's start) means the VM was
+/// stopped at that boundary and rented anew: it opens a new session. Any
+/// other interval extends the open session.
+void rent_stop(std::vector<ReplaySession>& sessions, util::Seconds start,
+               util::Seconds end);
+
+/// Replaces `sessions` with rent_stop over `vm`'s placements in start order
+/// (sorted here, not trusted from the timeline's append order).
+void placement_sessions(const cloud::Vm& vm,
+                        std::vector<ReplaySession>& sessions);
 
 /// check_faulty_replay's result: the violation report plus the bill
 /// re-derived from the retry-stretched intervals (sessions segmented by the

@@ -2,8 +2,9 @@
 // the VM it runs on and its start/finish times.
 //
 // The task table and the VMs' placement timelines are kept in sync by
-// construction: `assign` writes both. An independent feasibility checker
-// lives in sim/validator.hpp and the event-driven replay in sim/event_sim.hpp.
+// construction: `assign` writes both. The structural feasibility checker
+// lives in sim/validator.hpp (check/oracle.hpp adds boot, billing and
+// metrics on top) and the event-driven replay in sim/event_sim.hpp.
 #pragma once
 
 #include <vector>

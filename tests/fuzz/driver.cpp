@@ -40,9 +40,14 @@ void run_one(const std::string& input) {
                          input.size());
 }
 
-/// One mutation step: byte flip, insert, erase, truncate, or splice with a
-/// second corpus entry. Purely Rng-driven, so a (seed, runs) pair is a
-/// reproducible sequence.
+/// Inputs grow by repeated slices only while they are smaller than this, so
+/// a mutation stays cheap but can still outgrow every corpus entry (and the
+/// targets' size limits, e.g. fuzz_http's 1 KiB header cap).
+constexpr std::size_t kMaxGrownSize = 8 * 1024;
+
+/// One mutation step: byte flip, insert, erase, truncate, splice with a
+/// second corpus entry, or repeat a slice. Purely Rng-driven, so a
+/// (seed, runs) pair is a reproducible sequence.
 std::string mutate(const std::string& base, const std::string& donor,
                    cloudwf::util::Rng& rng) {
   std::string out = base;
@@ -54,7 +59,7 @@ std::string mutate(const std::string& base, const std::string& donor,
       std::min<std::size_t>(128, 8 + base.size() / 256));
   const int steps = static_cast<int>(rng.between(1, max_steps));
   for (int i = 0; i < steps; ++i) {
-    switch (rng.below(5)) {
+    switch (rng.below(6)) {
       case 0:  // flip a bit
         if (!out.empty()) {
           const std::size_t at = rng.below(out.size());
@@ -80,6 +85,20 @@ std::string mutate(const std::string& base, const std::string& donor,
           const std::size_t cut = rng.below(out.size() + 1);
           const std::size_t from = rng.below(donor.size());
           out = out.substr(0, cut) + donor.substr(from);
+        }
+        break;
+      case 5:  // repeat a slice (up to 64 bytes, up to 64 times) in place
+        if (!out.empty() && out.size() < kMaxGrownSize) {
+          const std::size_t at = rng.below(out.size());
+          const std::size_t len =
+              1 + rng.below(std::min<std::size_t>(out.size() - at, 64));
+          const std::size_t copies =
+              std::min<std::size_t>(1 + rng.below(64),
+                                    (kMaxGrownSize - out.size()) / len);
+          std::string repeated;
+          for (std::size_t c = 0; c < copies; ++c)
+            repeated.append(out, at, len);
+          out.insert(at + len, repeated);
         }
         break;
     }

@@ -5,11 +5,14 @@
 // throws std::runtime_error or yields a structurally valid schedule that the
 // validator and the oracle can analyze without crashing. (Oracle violations
 // are fine — a loaded schedule may be infeasible; crashes and non-finite
-// arithmetic are not.)
+// arithmetic are not.) The oracle's report opens with exactly sim::validate's
+// violations (same codes, same details, same order) and holds no further
+// structural code: the validator is the oracle's structural half.
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "check/oracle.hpp"
 #include "cloud/platform.hpp"
@@ -36,6 +39,12 @@ const cloudwf::dag::Workflow& fixed_workflow() {
   return wf;
 }
 
+bool structural(std::string_view invariant) {
+  return invariant == "assignment" || invariant == "duration" ||
+         invariant == "table-timeline" || invariant == "overlap" ||
+         invariant == "precedence";
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -53,11 +62,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     return 0;
   }
 
-  // Whatever loaded must survive both checkers without crashing; their
-  // verdicts must agree on feasibility.
+  // Whatever loaded must survive both checkers without crashing, and the
+  // two must report the same structural violations.
   const auto issues = sim::validate(wf, schedule, platform);
   const check::OracleReport report = check::check_schedule(wf, schedule, platform);
-  if (!issues.empty() && report.ok()) __builtin_trap();
+  const auto& violations = report.violations;
+  if (violations.size() < issues.size()) __builtin_trap();
+  for (std::size_t i = 0; i < issues.size(); ++i)
+    if (violations[i].invariant != issues[i].invariant ||
+        violations[i].detail != issues[i].detail)
+      __builtin_trap();
+  for (std::size_t i = issues.size(); i < violations.size(); ++i)
+    if (structural(violations[i].invariant)) __builtin_trap();
   (void)report.to_json().dump();
   return 0;
 }

@@ -45,7 +45,7 @@ TEST_P(RandomDagProperty, EveryStrategyFeasibleAndReplayable) {
     const auto issues = sim::validate(wf, s, platform);
     EXPECT_TRUE(issues.empty())
         << strat.label << " seed=" << GetParam()
-        << (issues.empty() ? "" : ": " + issues.front());
+        << (issues.empty() ? "" : ": " + issues.front().detail);
 
     // Replay agreement.
     const sim::ReplayResult r = replayer.replay(wf, s);
@@ -94,7 +94,7 @@ TEST_P(RandomDagProperty, BaselinesFeasibleToo) {
     const auto issues = sim::validate(wf, s, platform);
     EXPECT_TRUE(issues.empty())
         << strat.label << " seed=" << GetParam()
-        << (issues.empty() ? "" : ": " + issues.front());
+        << (issues.empty() ? "" : ": " + issues.front().detail);
     const sim::ScheduleMetrics m = sim::compute_metrics(wf, s, platform);
     EXPECT_GT(m.makespan, 0.0) << strat.label;
     EXPECT_GT(m.total_cost, util::Money{}) << strat.label;

@@ -33,7 +33,7 @@ TEST(Validator, FlagsUnassignedTask) {
   s.assign(0, vm, 0.0, 100.0);
   const auto issues = validate(f.wf, s, f.platform);
   ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues[0].find("unassigned"), std::string::npos);
+  EXPECT_NE(issues[0].detail.find("unassigned"), std::string::npos);
   EXPECT_THROW(validate_or_throw(f.wf, s, f.platform), std::logic_error);
 }
 
@@ -45,7 +45,7 @@ TEST(Validator, FlagsWrongDuration) {
   s.assign(1, vm, 100.0, 250.0);  // 150 s instead of 200 s on small
   const auto issues = validate(f.wf, s, f.platform);
   ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues[0].find("work/speedup"), std::string::npos);
+  EXPECT_NE(issues[0].detail.find("work/speedup"), std::string::npos);
 }
 
 TEST(Validator, DurationHonorsSpeedup) {
@@ -67,7 +67,7 @@ TEST(Validator, FlagsPrecedenceViolation) {
   s.assign(1, v1, 50.0, 250.0);  // starts before its predecessor finishes
   const auto issues = validate(f.wf, s, f.platform);
   ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues[0].find("starts at"), std::string::npos);
+  EXPECT_NE(issues[0].detail.find("starts at"), std::string::npos);
 }
 
 TEST(Validator, FlagsMissingTransferSlack) {
@@ -105,7 +105,7 @@ TEST(Validator, SizeMismatchReported) {
   const Schedule s(3);  // wrong task count
   const auto issues = validate(f.wf, s, f.platform);
   ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("sized for"), std::string::npos);
+  EXPECT_NE(issues[0].detail.find("sized for"), std::string::npos);
 }
 
 }  // namespace

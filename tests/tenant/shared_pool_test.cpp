@@ -228,6 +228,26 @@ TEST(SharedPool, OracleGreenAcrossPoliciesAndKinds) {
   }
 }
 
+// A sub-microsecond task rents a VM for one BTU (cloud::btus_for rounds any
+// started span up); the oracle's rent/stop replay must pay that BTU too,
+// rather than quantizing a span inside the schedule-time slack to zero.
+TEST(SharedPool, OracleBillsSubMicrosecondSessionOneBtu) {
+  const cloud::Platform platform = cloud::Platform::ec2();
+  TenantRegistry reg;
+  (void)reg.add({.name = "solo"});
+  dag::Workflow wf{"tiny"};
+  (void)wf.add_task("t", 5e-7);
+  const std::vector<JobSpec> jobs = {
+      {.tenant = 0, .workflow = wf, .arrival = 0.0}};
+  const MultiTenantResult mt =
+      run_shared_pool(reg, jobs, platform, SimConfig{});
+  ASSERT_EQ(mt.pool.size(), 1u);
+  EXPECT_EQ(mt.pool.vm(0).btus(), 1);
+  const check::OracleReport report =
+      check::check_multi_tenant(reg, jobs, mt, platform);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
 TEST(SharedPool, RejectsInvalidInputs) {
   const cloud::Platform platform = cloud::Platform::ec2();
   const TenantRegistry reg = two_tenants();
