@@ -115,14 +115,16 @@ class Vm {
   [[nodiscard]] bool placement_adds_btu(util::Seconds start,
                                         util::Seconds end) const;
 
-  /// Appends a placement. Preconditions: end >= start >= available_from()
-  /// (within the schedule-time slack) and start >= 0.
+  /// Appends a placement. Preconditions: end >= start and start >= 0, and
+  /// start is no earlier than the latest end placed so far (each within the
+  /// schedule-time slack).
   void place(dag::TaskId task, util::Seconds start, util::Seconds end);
 
   /// Removes all placements (used by the retiming upgrade schedulers).
   void clear() noexcept {
     placements_.clear();
     busy_time_ = 0;
+    max_end_ = 0;
     closed_btus_ = 0;
     session_count_ = 0;
     last_session_ = Session{};
@@ -133,6 +135,9 @@ class Vm {
   InstanceSize size_;
   RegionId region_;
   util::Seconds busy_time_ = 0;
+  /// Latest end placed so far. An end may fall up to the slack before its
+  /// start, so available_from() can drift below it.
+  util::Seconds max_end_ = 0;
   std::int64_t closed_btus_ = 0;  ///< BTU sum of all sessions before the last
   std::size_t session_count_ = 0;
   Session last_session_{};

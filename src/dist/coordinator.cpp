@@ -38,15 +38,11 @@ std::optional<std::vector<exp::SweepRow>> HttpShardTransport::execute(
 
   try {
     if (options_.binary) {
-      const svc::BinFrame frame = svc::decode_frame(response->body);
-      const auto* decoded = std::get_if<svc::BinShardResponse>(&frame);
+      svc::BinFrame frame = svc::decode_frame(response->body);
+      auto* decoded = std::get_if<svc::BinShardResponse>(&frame);
       if (decoded == nullptr || decoded->shard_id != shard.shard_id)
         return std::nullopt;
-      std::vector<exp::SweepRow> rows;
-      rows.reserve(decoded->rows.size());
-      for (const svc::BinResultRow& row : decoded->rows)
-        rows.push_back(svc::sweep_row_of(row));
-      return rows;
+      return std::move(decoded->rows);
     }
     const svc::ShardResult result =
         svc::decode_shard_result(util::Json::parse(response->body));
@@ -165,14 +161,12 @@ bool CoordinatorServer::handle(svc::HttpRequest&& request,
       std::uint64_t shard_id = 0;
       std::vector<exp::SweepRow> rows;
       if (request.header("content-type") == svc::kBinaryContentType) {
-        const svc::BinFrame frame = svc::decode_frame(request.body);
-        const auto* decoded = std::get_if<svc::BinShardResponse>(&frame);
+        svc::BinFrame frame = svc::decode_frame(request.body);
+        auto* decoded = std::get_if<svc::BinShardResponse>(&frame);
         if (decoded == nullptr)
           throw svc::BadRequest("expected a shard_response frame");
         shard_id = decoded->shard_id;
-        rows.reserve(decoded->rows.size());
-        for (const svc::BinResultRow& row : decoded->rows)
-          rows.push_back(svc::sweep_row_of(row));
+        rows = std::move(decoded->rows);
       } else {
         svc::ShardResult result =
             svc::decode_shard_result(util::Json::parse(request.body));

@@ -57,9 +57,7 @@ WorkerReport run_worker(const WorkerOptions& options,
 
     svc::BinShardResponse result;
     result.shard_id = shard.shard_id;
-    result.rows.reserve(rows.size());
-    for (const exp::SweepRow& row : rows)
-      result.rows.push_back(svc::bin_sweep_row(row));
+    result.rows = std::move(rows);
     const std::optional<svc::HttpResponse> posted =
         client.request("POST", "/v1/shard/result",
                        svc::encode_frame(std::move(result)), {},

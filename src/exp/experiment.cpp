@@ -1,18 +1,42 @@
 #include "exp/experiment.hpp"
 
 #include "dag/builders.hpp"
+#include "dag/science.hpp"
 #include "exp/scenario_env.hpp"
 #include "obs/trace.hpp"
 #include "sim/validator.hpp"
 
 namespace cloudwf::exp {
 
+namespace {
+
+constexpr NamedWorkflow kNamedWorkflows[] = {
+    {"montage", [] { return dag::builders::montage24(); }},
+    {"cstem", [] { return dag::builders::cstem(); }},
+    {"mapreduce", [] { return dag::builders::map_reduce(); }},
+    {"sequential", [] { return dag::builders::sequential_chain(); }},
+    {"epigenomics", [] { return dag::science::epigenomics(); }},
+    {"cybershake", [] { return dag::science::cybershake(); }},
+    {"ligo", [] { return dag::science::ligo(); }},
+    {"sipht", [] { return dag::science::sipht(); }},
+};
+
+}  // namespace
+
+std::span<const NamedWorkflow> named_workflows() noexcept {
+  return kNamedWorkflows;
+}
+
+const NamedWorkflow* find_named_workflow(std::string_view name) noexcept {
+  for (const NamedWorkflow& w : kNamedWorkflows)
+    if (w.name == name) return &w;
+  return nullptr;
+}
+
 std::vector<dag::Workflow> paper_workflows() {
   std::vector<dag::Workflow> out;
-  out.push_back(dag::builders::montage24());
-  out.push_back(dag::builders::cstem());
-  out.push_back(dag::builders::map_reduce());
-  out.push_back(dag::builders::sequential_chain());
+  for (const NamedWorkflow& w : named_workflows().first(4))
+    out.push_back(w.build());
   return out;
 }
 

@@ -3,7 +3,9 @@
 // OneVMperTask-small reference, idle times).
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/platform.hpp"
@@ -19,6 +21,20 @@ namespace cloudwf::exp {
 /// montage, cstem, mapreduce, sequential. Structure only — scenario works
 /// and data sizes are applied per run.
 [[nodiscard]] std::vector<dag::Workflow> paper_workflows();
+
+/// A workflow every entry point (CLI, service, sweep grid) accepts by name.
+struct NamedWorkflow {
+  std::string_view name;
+  dag::Workflow (*build)();
+};
+
+/// The eight named workflows: the four paper structures, then the default
+/// Pegasus science workflows epigenomics, cybershake, ligo and sipht.
+[[nodiscard]] std::span<const NamedWorkflow> named_workflows() noexcept;
+
+/// The named workflow called `name`, or nullptr.
+[[nodiscard]] const NamedWorkflow* find_named_workflow(
+    std::string_view name) noexcept;
 
 struct RunResult {
   std::string strategy;              ///< legend label

@@ -18,13 +18,6 @@ Fig4Panel fig4_panel(const ExperimentRunner& runner, const dag::Workflow& struct
   return panel;
 }
 
-std::vector<Fig4Panel> fig4_all(const ExperimentRunner& runner) {
-  std::vector<Fig4Panel> panels;
-  for (const dag::Workflow& wf : paper_workflows())
-    panels.push_back(fig4_panel(runner, wf));
-  return panels;
-}
-
 util::TextTable fig4_table(const Fig4Panel& panel) {
   util::TextTable t({"strategy", "scenario", "% gain", "% $ loss", "target square"});
   for (const Fig4Point& p : panel.points) {

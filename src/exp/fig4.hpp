@@ -33,9 +33,6 @@ struct Fig4Panel {
 [[nodiscard]] Fig4Panel fig4_panel(const ExperimentRunner& runner,
                                    const dag::Workflow& structure);
 
-/// All four paper panels (a: montage, b: cstem, c: mapreduce, d: sequential).
-[[nodiscard]] std::vector<Fig4Panel> fig4_all(const ExperimentRunner& runner);
-
 /// Human-readable table of one panel ("% gain", "% $ loss" like the plot axes).
 [[nodiscard]] util::TextTable fig4_table(const Fig4Panel& panel);
 

@@ -1,9 +1,9 @@
 // Deterministic parallel execution engine for the experiment grids.
 //
 // The sweep and grid loops in exp/ are embarrassingly parallel: every cell
-// (a seed, a workflow size, an ensemble instance, a strategy) is a pure
-// function of its inputs. parallel_map / parallel_for_indexed run those
-// cells on a fixed-size worker pool while keeping two guarantees:
+// (a seed, a workflow size, a strategy) is a pure function of its inputs.
+// parallel_map runs those cells on a fixed-size worker pool while keeping
+// two guarantees:
 //
 //  1. **Stable ordering** — results come back indexed by job, never by
 //     completion order, so aggregation code sees exactly the serial order.
@@ -85,24 +85,6 @@ template <typename Fn>
     futures.push_back(pool.submit([&fn, i] { return fn(i); }));
   for (auto& f : futures) out.push_back(f.get());
   return out;
-}
-
-/// parallel_map for side-effecting jobs: runs fn(i) for i in [0, jobs),
-/// returns once all jobs finished. Same ordering/exception contract.
-template <typename Fn>
-void parallel_for_indexed(std::size_t jobs, const ParallelConfig& config,
-                          Fn&& fn) {
-  const std::size_t threads = config.resolved_threads();
-  if (threads <= 1 || jobs <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) fn(i);
-    return;
-  }
-  util::ThreadPool pool(threads < jobs ? threads : jobs);
-  std::vector<std::future<void>> futures;
-  futures.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i)
-    futures.push_back(pool.submit([&fn, i] { fn(i); }));
-  for (auto& f : futures) f.get();
 }
 
 }  // namespace cloudwf::exp

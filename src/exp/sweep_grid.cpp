@@ -8,16 +8,14 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "dag/builders.hpp"
 #include "dag/science.hpp"
 #include "scheduling/factory.hpp"
 
 namespace cloudwf::exp {
 namespace {
 
-/// llround(value * 1e6) with NaN→0 and saturation — the same scaling
-/// svc::bin_row applies, duplicated here so exp does not depend on svc (a
-/// test pins the two conversions against each other).
+/// llround(value * 1e6) with NaN→0 and saturation — the scaling of every
+/// ratio and duration field on the wire (svc::bin_row is sweep_row).
 std::int64_t fixed_ppm(double value) {
   const double scaled = value * 1e6;
   if (std::isnan(scaled)) return 0;
@@ -59,10 +57,7 @@ void validate_grid_workflow_name(const std::string& name) {
           std::to_string(kMaxGridWorkflowTasks));
     return;
   }
-  if (name == "montage" || name == "cstem" || name == "mapreduce" ||
-      name == "sequential" || name == "epigenomics" || name == "cybershake" ||
-      name == "ligo" || name == "sipht")
-    return;
+  if (find_named_workflow(name)) return;
   throw std::invalid_argument("unknown grid workflow '" + name + "'");
 }
 
@@ -166,14 +161,7 @@ dag::Workflow grid_workflow(const std::string& name) {
   if (split_scaled_name(name, family, tasks))
     return dag::science::scaled(dag::science::family_by_name(family),
                                 static_cast<std::size_t>(tasks));
-  if (name == "montage") return dag::builders::montage24();
-  if (name == "cstem") return dag::builders::cstem();
-  if (name == "mapreduce") return dag::builders::map_reduce();
-  if (name == "sequential") return dag::builders::sequential_chain();
-  if (name == "epigenomics") return dag::science::epigenomics();
-  if (name == "cybershake") return dag::science::cybershake();
-  if (name == "ligo") return dag::science::ligo();
-  return dag::science::sipht();
+  return find_named_workflow(name)->build();
 }
 
 SweepRow sweep_row(const RunResult& result, std::uint64_t seed) {

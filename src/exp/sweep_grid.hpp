@@ -99,9 +99,8 @@ struct ShardSpec {
 /// One evaluated grid cell in exact integer fixed point: costs in
 /// micro-dollars (util::Money.micros()), durations in microseconds, ratios
 /// in millionths. This is the unit the fabric streams over the wire and the
-/// unit merged sweeps are byte-compared in; it is field-identical to
-/// svc::BinResultRow (pinned by a test) so the service's binary rows
-/// convert losslessly.
+/// unit merged sweeps are byte-compared in; svc::BinResultRow is this
+/// type, so the service's binary rows are sweep rows.
 struct SweepRow {
   std::uint64_t seed = 0;
   std::string strategy;
@@ -120,8 +119,7 @@ struct SweepRow {
   friend bool operator==(const SweepRow&, const SweepRow&) = default;
 };
 
-/// Fixed-point conversion of one RunResult (identical scaling to the
-/// service's binary rows).
+/// Fixed-point conversion of one RunResult (svc::bin_row is this).
 [[nodiscard]] SweepRow sweep_row(const RunResult& result, std::uint64_t seed);
 
 /// Runs one shard serially and returns its rows in canonical cell order.

@@ -1,5 +1,7 @@
 #include "svc/batcher.hpp"
 
+#include <optional>
+
 #include "obs/trace.hpp"
 #include "svc/binproto.hpp"
 
@@ -176,11 +178,15 @@ void Batcher::run_batch() {
     // name; a per-key name would grow /stats by one entry per shard served.
     const bool shard =
         !batch.empty() && batch.front().kind == QueuedRequest::Kind::shard;
-    obs::PhaseScope phase(shard ? "svc: batch shard" : "svc: batch " + key);
+    std::optional<obs::PhaseScope> phase;
+    phase.emplace(shard ? "svc: batch shard" : "svc: batch " + key);
     EvalCache cache;  // shared across the whole batch: coalesced requests
                       // with overlapping cells evaluate each cell once
     for (QueuedRequest& request : batch) {
       HttpResponse response = answer(request, cache);
+      // The phase closes before the batch's last answer goes out, so a
+      // /stats read that follows any answer already counts this batch.
+      if (&request == &batch.back()) phase.reset();
       if (request.on_ready) {
         HttpResponse copy = response;
         request.promise.set_value(std::move(response));

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "exp/sweep_grid.hpp"
 #include "svc/handlers.hpp"
 #include "svc/protocol.hpp"
 
@@ -47,24 +48,9 @@ enum class FrameKind : std::uint8_t {
 };
 
 /// One result row in integer fixed point (see the header comment for the
-/// exact scaling of each field against its JSON counterpart).
-struct BinResultRow {
-  std::uint64_t seed = 0;
-  std::string strategy;
-  std::int64_t makespan_us = 0;
-  std::int64_t vm_cost_micros = 0;
-  std::int64_t egress_cost_micros = 0;
-  std::int64_t total_cost_micros = 0;
-  std::int64_t idle_us = 0;
-  std::int64_t busy_us = 0;
-  std::uint32_t vms_used = 0;
-  std::int64_t total_btus = 0;
-  std::int64_t utilization_ppm = 0;
-  std::int64_t gain_pct_ppm = 0;
-  std::int64_t loss_pct_ppm = 0;
-
-  friend bool operator==(const BinResultRow&, const BinResultRow&) = default;
-};
+/// exact scaling of each field against its JSON counterpart). It is the
+/// sweep grid's row, so shard rows go on the wire without a conversion.
+using BinResultRow = exp::SweepRow;
 
 struct BinEvaluateResponse {
   std::string workflow;
@@ -135,11 +121,6 @@ class BinProtoError : public std::runtime_error {
 [[nodiscard]] std::string rank_body_bin(const RankRequest& request,
                                         const cloud::Platform& platform,
                                         EvalCache* cache = nullptr);
-
-/// Lossless SweepRow <-> BinResultRow conversions (the two structs are
-/// field-identical; a test pins that).
-[[nodiscard]] BinResultRow bin_sweep_row(const exp::SweepRow& row);
-[[nodiscard]] exp::SweepRow sweep_row_of(const BinResultRow& row);
 
 /// Body of a binary /v1/shard response, from the same handler rows as the
 /// JSON body.

@@ -1,7 +1,5 @@
 #include "svc/handlers.hpp"
 
-#include "dag/builders.hpp"
-#include "dag/science.hpp"
 #include "obs/trace.hpp"
 #include "scheduling/factory.hpp"
 
@@ -48,14 +46,8 @@ exp::RunResult evaluate_cell(const cloud::Platform& platform,
 }  // namespace
 
 dag::Workflow workflow_by_name(const std::string& name) {
-  if (name == "montage") return dag::builders::montage24();
-  if (name == "cstem") return dag::builders::cstem();
-  if (name == "mapreduce") return dag::builders::map_reduce();
-  if (name == "sequential") return dag::builders::sequential_chain();
-  if (name == "epigenomics") return dag::science::epigenomics();
-  if (name == "cybershake") return dag::science::cybershake();
-  if (name == "ligo") return dag::science::ligo();
-  if (name == "sipht") return dag::science::sipht();
+  if (const exp::NamedWorkflow* w = exp::find_named_workflow(name))
+    return w->build();
   throw BadRequest("unknown workflow '" + name + "'");
 }
 

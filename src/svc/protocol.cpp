@@ -48,19 +48,12 @@ void decode_seed_fields(const util::Json& body, std::uint64_t& begin,
 
 }  // namespace
 
-const std::vector<std::string>& known_workflows() {
-  static const std::vector<std::string> names = {
-      "montage", "cstem",      "mapreduce", "sequential",
-      "epigenomics", "cybershake", "ligo",      "sipht"};
-  return names;
-}
-
 void validate_workflow_name(const std::string& name) {
-  for (const std::string& known : known_workflows())
-    if (known == name) return;
-  throw BadRequest("unknown workflow '" + name +
-                   "' (montage|cstem|mapreduce|sequential|epigenomics|"
-                   "cybershake|ligo|sipht)");
+  if (exp::find_named_workflow(name)) return;
+  std::string known;
+  for (const exp::NamedWorkflow& w : exp::named_workflows())
+    known += (known.empty() ? "" : "|") + std::string(w.name);
+  throw BadRequest("unknown workflow '" + name + "' (" + known + ")");
 }
 
 workload::ScenarioKind parse_scenario(const std::string& name) {

@@ -64,11 +64,9 @@ struct RankRequest {
   std::uint64_t seed = 0;
 };
 
-/// The workflow names the service accepts (no file paths: network input
-/// must not reach the filesystem loader).
-[[nodiscard]] const std::vector<std::string>& known_workflows();
-
-/// Throws BadRequest if `name` is not a served workflow.
+/// Throws BadRequest if `name` is not one of exp::named_workflows() (no
+/// file paths or scaled "family:N": network input must not reach the
+/// filesystem loader).
 void validate_workflow_name(const std::string& name);
 
 /// Parses a scenario name; throws BadRequest for unknown names.

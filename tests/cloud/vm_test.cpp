@@ -96,6 +96,21 @@ TEST(Vm, AppendOnlyPlacement) {
   EXPECT_NO_THROW(vm.place(1, 100.0, 150.0));  // back-to-back is fine
 }
 
+TEST(Vm, SlackDoesNotAccumulateAcrossAppends) {
+  // Each append may start up to the 1 us slack before the latest end, and
+  // an end may fall up to the slack before its start. Checked only against
+  // the last placement's end, three appends would drift 1.8 us below the
+  // first end and overlap it by more than the slack.
+  Vm vm(0, InstanceSize::small, 0);
+  vm.place(0, 300.0, 310.0);
+  vm.place(1, 310.0 - 0.9e-6, 310.0 - 0.9e-6);
+  EXPECT_DOUBLE_EQ(vm.available_from(), 310.0 - 0.9e-6);
+  EXPECT_THROW(vm.place(2, 310.0 - 1.8e-6, 310.0 - 2.7e-6), std::logic_error);
+  EXPECT_EQ(vm.placements().size(), 2u);
+  vm.clear();
+  EXPECT_NO_THROW(vm.place(2, 0.0, 1.0));  // clear() forgets the old ends
+}
+
 TEST(Vm, RejectsBadIntervals) {
   Vm vm(0, InstanceSize::small, 0);
   EXPECT_THROW(vm.place(dag::kInvalidTask, 0.0, 1.0), std::invalid_argument);

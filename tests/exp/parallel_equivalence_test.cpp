@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/ensemble.hpp"
 #include "exp/experiment.hpp"
 #include "exp/parallel.hpp"
 #include "exp/seed_sweep.hpp"
@@ -119,32 +118,6 @@ TEST(ParallelEquivalence, HeterogeneitySweepAnyWorkerCount) {
                   .render(),
               golden)
         << "threads=" << cfg.threads;
-}
-
-TEST(ParallelEquivalence, EnsembleStudyAnyWorkerCount) {
-  namespace nd = dag::nondet;
-  const nd::NodePtr tree = nd::sequence(
-      {nd::task("setup", 300.0),
-       nd::loop(nd::choice({{0.6, nd::task("light", 400.0)},
-                            {0.4, nd::parallel({nd::task("heavy0", 900.0),
-                                                nd::task("heavy1", 1100.0)})}}),
-                1, 3),
-       nd::task("teardown", 200.0)});
-  const cloud::Platform platform = cloud::Platform::ec2();
-  const scheduling::Strategy strat =
-      scheduling::strategy_by_label("AllParExceed-s");
-  const EnsembleStats serial =
-      ensemble_study(tree, strat, platform, 24, 99, ParallelConfig{1});
-  for (const ParallelConfig& cfg : kConfigs) {
-    const EnsembleStats parallel =
-        ensemble_study(tree, strat, platform, 24, 99, cfg);
-    EXPECT_EQ(serial.makespan.mean, parallel.makespan.mean);
-    EXPECT_EQ(serial.makespan.stddev, parallel.makespan.stddev);
-    EXPECT_EQ(serial.cost_dollars.mean, parallel.cost_dollars.mean);
-    EXPECT_EQ(serial.idle.mean, parallel.idle.mean);
-    EXPECT_EQ(serial.tasks.min, parallel.tasks.min);
-    EXPECT_EQ(serial.tasks.max, parallel.tasks.max);
-  }
 }
 
 TEST(ParallelEquivalence, TracingEnabledPreservesEquivalenceAndCounters) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cloud/platform.hpp"
+#include "obs/trace.hpp"
 #include "svc/handlers.hpp"
 #include "util/thread_pool.hpp"
 
@@ -90,6 +91,30 @@ TEST(Batcher, CoalescesSameScenarioRequestsIntoOneBatch) {
   EXPECT_EQ(counters.responses_ok.load(), 4u);
   EXPECT_EQ(counters.queue_depth_peak.load(), 4u);
   EXPECT_EQ(batcher.queue_depth(), 0u);
+}
+
+TEST(Batcher, PhaseIsRecordedBeforeTheLastAnswerGoesOut) {
+  // A /stats read that follows an answer must already count the batch
+  // that produced it.
+  obs::TraceRecorder recorder;
+  obs::set_global_recorder(&recorder);
+  const cloud::Platform platform = cloud::Platform::ec2();
+  ServiceCounters counters;
+  GatedPool gated;
+  Batcher batcher(platform, gated.pool(), {.max_queue = 64}, counters);
+
+  std::promise<bool> phase_seen;
+  QueuedRequest request = make_eval(0);
+  request.on_ready = [&](HttpResponse&&) {
+    phase_seen.set_value(
+        recorder.phase_stats().count("svc: batch montage|pareto") == 1);
+  };
+  auto future = batcher.submit(std::move(request));
+  ASSERT_TRUE(future.has_value());
+  gated.release();
+  EXPECT_EQ(future->get().status, 200);
+  EXPECT_TRUE(phase_seen.get_future().get());
+  obs::set_global_recorder(nullptr);
 }
 
 TEST(Batcher, DistinctWorkflowsFormDistinctBatches) {

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "util/json.hpp"
 
 namespace cloudwf::svc {
@@ -96,10 +94,19 @@ TEST(Protocol, ErrorBodyIsJson) {
 }
 
 TEST(Protocol, KnownWorkflowsCoverThePaperSet) {
-  const auto& names = known_workflows();
-  EXPECT_EQ(names.size(), 8u);
+  EXPECT_EQ(exp::named_workflows().size(), 8u);
   for (const char* expected : {"montage", "cstem", "mapreduce", "sequential"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end());
+    EXPECT_NO_THROW(validate_workflow_name(expected));
+  for (const exp::NamedWorkflow& w : exp::named_workflows())
+    EXPECT_NO_THROW(validate_workflow_name(std::string(w.name)));
+  try {
+    validate_workflow_name("epigenomics:100");  // the grid's scaled form
+    FAIL() << "scaled workflow accepted";
+  } catch (const BadRequest& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown workflow 'epigenomics:100' (montage|cstem|"
+                 "mapreduce|sequential|epigenomics|cybershake|ligo|sipht)");
+  }
 }
 
 }  // namespace

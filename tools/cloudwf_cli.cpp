@@ -64,7 +64,6 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_sim.hpp"
-#include "dag/builders.hpp"
 #include "dag/edge_dsl.hpp"
 #include "dag/science.hpp"
 #include "exp/artifacts.hpp"
@@ -146,14 +145,8 @@ Args parse_args(int argc, char** argv) {
 }
 
 dag::Workflow resolve_workflow(const std::string& spec) {
-  if (spec == "montage") return dag::builders::montage24();
-  if (spec == "cstem") return dag::builders::cstem();
-  if (spec == "mapreduce") return dag::builders::map_reduce();
-  if (spec == "sequential") return dag::builders::sequential_chain();
-  if (spec == "epigenomics") return dag::science::epigenomics();
-  if (spec == "cybershake") return dag::science::cybershake();
-  if (spec == "ligo") return dag::science::ligo();
-  if (spec == "sipht") return dag::science::sipht();
+  if (const exp::NamedWorkflow* w = exp::find_named_workflow(spec))
+    return w->build();
   // "family:N" scales a Pegasus family to >= N tasks, e.g. epigenomics:1000.
   if (const std::size_t colon = spec.find(':');
       colon != std::string::npos && spec.find("->") == std::string::npos) {
