@@ -1,12 +1,13 @@
-// Ablation benches for the design knobs DESIGN.md calls out:
-//  - the BTU "NotExceed" rule (rent-on-growth) vs "Exceed" (reuse anyway),
-//    measured as cost/makespan/idle deltas, not runtime;
+// Ablation tables for the design knobs DESIGN.md calls out, measured as
+// makespan/cost/idle/VM deltas on the Pareto-scenario workflows:
+//  - the BTU "NotExceed" rule (rent-on-growth) vs "Exceed" (reuse anyway);
 //  - the dynamic schedulers' budget factors (CPA-Eager 2x, GAIN 4x);
-//  - AllPar1LnSDyn's per-level budget vs plain AllPar1LnS.
-// google-benchmark is used as the runner; each benchmark reports the
-// quality metric through counters so `--benchmark_format=console` shows
-// the ablation outcome alongside the timing.
-#include <benchmark/benchmark.h>
+//  - AllPar1LnSDyn's per-level budget vs plain AllPar1LnS;
+//  - the reuse-target rule: the paper's largest-execution-time target
+//    (StartParNotExceed) vs best-fit bin packing (BestFit, ours).
+#include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "dag/builders.hpp"
 #include "exp/experiment.hpp"
@@ -15,6 +16,8 @@
 #include "scheduling/factory.hpp"
 #include "scheduling/gain.hpp"
 #include "sim/metrics.hpp"
+#include "util/strings.hpp"
+#include "util/table.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -22,101 +25,76 @@ namespace {
 using namespace cloudwf;
 
 dag::Workflow pareto_workflow(const dag::Workflow& base) {
-  workload::ScenarioConfig cfg;
-  return workload::apply_scenario(base, cfg);
+  return workload::apply_scenario(base, workload::ScenarioConfig{});
 }
 
-void report(benchmark::State& state, const dag::Workflow& wf,
-            const scheduling::Scheduler& scheduler) {
+dag::Workflow paper_workflow(const std::string& name) {
+  for (const dag::Workflow& base : exp::paper_workflows())
+    if (base.name() == name) return pareto_workflow(base);
+  throw std::invalid_argument("bench_ablation: no paper workflow " + name);
+}
+
+util::TextTable metrics_table(const char* first_column) {
+  return util::TextTable(
+      {first_column, "makespan (s)", "cost", "idle (s)", "VMs"});
+}
+
+void add_row(util::TextTable& table, std::string name, const dag::Workflow& wf,
+             const scheduling::Scheduler& scheduler) {
   const cloud::Platform platform = cloud::Platform::ec2();
-  sim::ScheduleMetrics m;
-  for (auto _ : state) {
-    const sim::Schedule s = scheduler.run(wf, platform);
-    m = sim::compute_metrics(wf, s, platform);
-    benchmark::DoNotOptimize(m);
-  }
-  state.counters["makespan_s"] = m.makespan;
-  state.counters["cost_usd"] = m.total_cost.dollars();
-  state.counters["idle_s"] = m.total_idle;
-  state.counters["vms"] = static_cast<double>(m.vms_used);
+  const sim::ScheduleMetrics m =
+      sim::compute_metrics(wf, scheduler.run(wf, platform), platform);
+  table.add_row({std::move(name), util::format_double(m.makespan, 0),
+                 m.total_cost.to_string(),
+                 util::format_double(m.total_idle, 0),
+                 std::to_string(m.vms_used)});
 }
 
-// --- Ablation 1: the BTU rule, per workflow -------------------------------
-
-void BM_BtuRule(benchmark::State& state, const char* workflow,
-                const char* label) {
-  for (const dag::Workflow& base : exp::paper_workflows()) {
-    if (base.name() != workflow) continue;
-    const dag::Workflow wf = pareto_workflow(base);
-    report(state, wf, *scheduling::strategy_by_label(label).scheduler);
-    return;
-  }
-}
-
-#define BTU_RULE_BENCH(wf)                                                 \
-  BENCHMARK_CAPTURE(BM_BtuRule, wf##_NotExceed, #wf, "AllParNotExceed-s"); \
-  BENCHMARK_CAPTURE(BM_BtuRule, wf##_Exceed, #wf, "AllParExceed-s")
-BTU_RULE_BENCH(montage);
-BTU_RULE_BENCH(cstem);
-BTU_RULE_BENCH(mapreduce);
-BTU_RULE_BENCH(sequential);
-#undef BTU_RULE_BENCH
-
-// --- Ablation 2: dynamic budget factors -----------------------------------
-
-void BM_CpaBudget(benchmark::State& state) {
-  const dag::Workflow wf = pareto_workflow(dag::builders::montage24());
-  const scheduling::CpaEagerScheduler cpa(
-      static_cast<double>(state.range(0)));
-  report(state, wf, cpa);
-}
-BENCHMARK(BM_CpaBudget)->DenseRange(1, 8, 1);
-
-void BM_GainBudget(benchmark::State& state) {
-  const dag::Workflow wf = pareto_workflow(dag::builders::montage24());
-  const scheduling::GainScheduler gain(static_cast<double>(state.range(0)));
-  report(state, wf, gain);
-}
-BENCHMARK(BM_GainBudget)->DenseRange(1, 8, 1);
-
-// --- Ablation 3: LnS vs LnSDyn (the per-level budget escalation) ----------
-
-void BM_LnSVariant(benchmark::State& state, const char* workflow,
+void add_label_row(util::TextTable& table, const std::string& workflow,
                    const char* label) {
-  for (const dag::Workflow& base : exp::paper_workflows()) {
-    if (base.name() != workflow) continue;
-    report(state, pareto_workflow(base),
-           *scheduling::strategy_by_label(label).scheduler);
-    return;
-  }
+  add_row(table, workflow + " " + label, paper_workflow(workflow),
+          *scheduling::strategy_by_label(label).scheduler);
 }
-BENCHMARK_CAPTURE(BM_LnSVariant, montage_LnS, "montage", "AllPar1LnS");
-BENCHMARK_CAPTURE(BM_LnSVariant, montage_LnSDyn, "montage", "AllPar1LnSDyn");
-BENCHMARK_CAPTURE(BM_LnSVariant, mapreduce_LnS, "mapreduce", "AllPar1LnS");
-BENCHMARK_CAPTURE(BM_LnSVariant, mapreduce_LnSDyn, "mapreduce", "AllPar1LnSDyn");
-
-// --- Ablation 4: the reuse-target rule — the paper's largest-execution-time
-// target (StartParNotExceed) vs best-fit bin packing (BestFit, ours) -------
-
-void BM_ReuseRule(benchmark::State& state, const char* workflow,
-                  bool best_fit) {
-  for (const dag::Workflow& base : exp::paper_workflows()) {
-    if (base.name() != workflow) continue;
-    const dag::Workflow wf = pareto_workflow(base);
-    if (best_fit) {
-      report(state, wf,
-             *scheduling::best_fit_strategy(cloud::InstanceSize::small)
-                  .scheduler);
-    } else {
-      report(state, wf,
-             *scheduling::strategy_by_label("StartParNotExceed-s").scheduler);
-    }
-    return;
-  }
-}
-BENCHMARK_CAPTURE(BM_ReuseRule, montage_LargestExec, "montage", false);
-BENCHMARK_CAPTURE(BM_ReuseRule, montage_BestFit, "montage", true);
-BENCHMARK_CAPTURE(BM_ReuseRule, cstem_LargestExec, "cstem", false);
-BENCHMARK_CAPTURE(BM_ReuseRule, cstem_BestFit, "cstem", true);
 
 }  // namespace
+
+int main() {
+  std::cout << "=== Ablation 1: the BTU rule (NotExceed vs Exceed) ===\n\n";
+  util::TextTable btu = metrics_table("workflow / strategy");
+  for (const char* wf : {"montage", "cstem", "mapreduce", "sequential"}) {
+    add_label_row(btu, wf, "AllParNotExceed-s");
+    add_label_row(btu, wf, "AllParExceed-s");
+  }
+  std::cout << btu << '\n';
+
+  std::cout << "=== Ablation 2: dynamic budget factors (montage) ===\n\n";
+  const dag::Workflow montage = pareto_workflow(dag::builders::montage24());
+  util::TextTable budget = metrics_table("scheduler / factor");
+  for (int factor = 1; factor <= 8; ++factor)
+    add_row(budget, "CPA-Eager " + std::to_string(factor), montage,
+            scheduling::CpaEagerScheduler(static_cast<double>(factor)));
+  for (int factor = 1; factor <= 8; ++factor)
+    add_row(budget, "GAIN " + std::to_string(factor), montage,
+            scheduling::GainScheduler(static_cast<double>(factor)));
+  std::cout << budget << '\n';
+
+  std::cout << "=== Ablation 3: AllPar1LnS vs AllPar1LnSDyn ===\n\n";
+  util::TextTable lns = metrics_table("workflow / strategy");
+  for (const char* wf : {"montage", "mapreduce"}) {
+    add_label_row(lns, wf, "AllPar1LnS");
+    add_label_row(lns, wf, "AllPar1LnSDyn");
+  }
+  std::cout << lns << '\n';
+
+  std::cout << "=== Ablation 4: reuse target (largest execution time vs "
+               "best fit) ===\n\n";
+  util::TextTable reuse = metrics_table("workflow / rule");
+  for (const char* wf : {"montage", "cstem"}) {
+    add_label_row(reuse, wf, "StartParNotExceed-s");
+    add_row(reuse, std::string(wf) + " BestFit", paper_workflow(wf),
+            *scheduling::best_fit_strategy(cloud::InstanceSize::small)
+                 .scheduler);
+  }
+  std::cout << reuse << '\n';
+  return 0;
+}

@@ -65,7 +65,7 @@ void Vm::place(dag::TaskId task, util::Seconds start, util::Seconds end) {
     throw std::invalid_argument("Vm::place: invalid task");
   if (start < -util::kTimeEpsilon || end < start - util::kTimeEpsilon)
     throw std::invalid_argument("Vm::place: bad interval");
-  if (util::time_gt(max_end_, start))
+  if (overlaps_timeline(max_end_, start))
     throw std::logic_error("Vm::place: overlaps previous placement (append-only)");
 
   if (session_count_ == 0 || util::time_gt(start, last_session_.paid_end())) {

@@ -29,6 +29,15 @@ struct Placement {
   util::Seconds end = 0;
 };
 
+/// The append-only rule, written once: a placement starting at `start`
+/// overlaps a timeline whose latest end so far is `latest_end` when it
+/// starts more than the schedule-time slack before that end. Vm::place
+/// refuses such an append; sim::validate reports it as `overlap`.
+[[nodiscard]] constexpr bool overlaps_timeline(util::Seconds latest_end,
+                                               util::Seconds start) noexcept {
+  return util::time_gt(latest_end, start);
+}
+
 class Vm {
  public:
   Vm(VmId id, InstanceSize size, RegionId region) noexcept

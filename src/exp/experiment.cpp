@@ -139,21 +139,4 @@ std::vector<RunResult> ExperimentRunner::run_grid() const {
   return out;
 }
 
-std::vector<RunResult> ExperimentRunner::run_grid_parallel() const {
-  // One job per (workflow, scenario) cell, evaluated on the engine; cells
-  // stay serial inside so the pool is not oversubscribed by nested jobs.
-  const std::vector<dag::Workflow> workflows = paper_workflows();
-  const std::size_t scenarios = workload::kAllScenarios.size();
-  const auto cells = parallel_map(
-      workflows.size() * scenarios, parallel_, [&](std::size_t c) {
-        return run_all(workflows[c / scenarios],
-                       workload::kAllScenarios[c % scenarios],
-                       ParallelConfig::serial());
-      });
-  std::vector<RunResult> out;
-  for (const auto& cell : cells)
-    for (const RunResult& r : cell) out.push_back(r);
-  return out;
-}
-
 }  // namespace cloudwf::exp

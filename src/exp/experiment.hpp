@@ -106,11 +106,6 @@ class ExperimentRunner {
   /// Full grid: every paper workflow x every scenario x every strategy.
   [[nodiscard]] std::vector<RunResult> run_grid() const;
 
-  /// run_grid with the (workflow, scenario) cells evaluated concurrently on
-  /// the runner's worker pool. Identical results in identical order — a
-  /// test asserts bitwise agreement with the serial path.
-  [[nodiscard]] std::vector<RunResult> run_grid_parallel() const;
-
  private:
   [[nodiscard]] sim::ScheduleMetrics reference_metrics(
       const dag::Workflow& materialized, const cloud::Platform& platform) const;

@@ -25,6 +25,20 @@ ReplayResult EventSimulator::replay(const dag::Workflow& wf,
                                     const Schedule& schedule) const {
   if (!schedule.complete())
     throw std::logic_error("EventSimulator::replay: incomplete schedule");
+  std::vector<util::Seconds> durations(wf.task_count());
+  for (const dag::Task& t : wf.tasks())
+    durations[t.id] = cloud::exec_time(
+        t.work, schedule.pool().vm(schedule.assignment(t.id).vm).size());
+  return replay(wf, schedule, durations);
+}
+
+ReplayResult EventSimulator::replay(
+    const dag::Workflow& wf, const Schedule& schedule,
+    std::span<const util::Seconds> durations) const {
+  if (!schedule.complete())
+    throw std::logic_error("EventSimulator::replay: incomplete schedule");
+  if (durations.size() != wf.task_count())
+    throw std::invalid_argument("EventSimulator::replay: durations size mismatch");
 
   const std::size_t n = wf.task_count();
   const cloud::VmPool& pool = schedule.pool();
@@ -63,11 +77,9 @@ ReplayResult EventSimulator::replay(const dag::Workflow& wf,
   std::priority_queue<Event, std::vector<Event>, std::greater<>> finish_events;
 
   auto start_task = [&](dag::TaskId t) {
-    const cloud::Vm& vm = pool.vm(schedule.assignment(t).vm);
-    const util::Seconds duration = cloud::exec_time(wf.task(t).work, vm.size());
     result.tasks[t].start = ready_at[t];
-    result.tasks[t].end = ready_at[t] + duration;
-    obs::emit_task_start(t, vm.id(), result.tasks[t].start);
+    result.tasks[t].end = ready_at[t] + durations[t];
+    obs::emit_task_start(t, schedule.assignment(t).vm, result.tasks[t].start);
     finish_events.push(Event{result.tasks[t].end, t});
     obs::note_queue_depth(finish_events.size());
   };

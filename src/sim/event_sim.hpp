@@ -8,8 +8,13 @@
 // must be <= the static ones (the replay is work-conserving) and, for the
 // paper's append-only policies, exactly equal — a cross-check the test suite
 // applies to every scheduler on every workflow.
+//
+// The perturbed replays (replay_with_actuals in sim/online.hpp,
+// replay_with_faults in sim/faults.hpp) run the same loop: they only
+// compute how long each task occupies its VM.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cloud/platform.hpp"
@@ -37,6 +42,13 @@ class EventSimulator {
   /// The schedule must be complete and structurally valid.
   [[nodiscard]] ReplayResult replay(const dag::Workflow& wf,
                                     const Schedule& schedule) const;
+
+  /// The one replay loop: as above, but task t occupies its assigned VM for
+  /// `durations[t]` seconds (one entry per task) instead of its work over
+  /// the VM's speed-up.
+  [[nodiscard]] ReplayResult replay(
+      const dag::Workflow& wf, const Schedule& schedule,
+      std::span<const util::Seconds> durations) const;
 
  private:
   const cloud::Platform* platform_;

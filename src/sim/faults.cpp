@@ -1,21 +1,10 @@
 #include "sim/faults.hpp"
 
 #include <cmath>
-#include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace cloudwf::sim {
-
-namespace {
-struct Event {
-  util::Seconds time = 0;
-  dag::TaskId task = dag::kInvalidTask;
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.task > b.task;
-  }
-};
-}  // namespace
 
 FaultyReplayResult replay_with_faults(const dag::Workflow& wf,
                                       const Schedule& schedule,
@@ -26,16 +15,14 @@ FaultyReplayResult replay_with_faults(const dag::Workflow& wf,
   if (model.failures_per_vm_hour < 0)
     throw std::invalid_argument("replay_with_faults: negative failure rate");
 
-  const std::size_t n = wf.task_count();
   const cloud::VmPool& pool = schedule.pool();
 
   FaultyReplayResult result;
-  result.tasks.assign(n, ReplayedTask{});
 
   // Per-task effective busy time: failed attempts (each aborted at a
   // uniform point) plus detection delays plus the final successful run.
   // Precomputable because attempts depend only on the task, not the clock.
-  std::vector<util::Seconds> effective(n, 0);
+  std::vector<util::Seconds> effective(wf.task_count(), 0);
   for (const dag::Task& t : wf.tasks()) {
     const cloud::Vm& vm = pool.vm(schedule.assignment(t.id).vm);
     const util::Seconds duration = cloud::exec_time(t.work, vm.size());
@@ -53,55 +40,10 @@ FaultyReplayResult replay_with_faults(const dag::Workflow& wf,
     effective[t.id] = acc + duration;
   }
 
-  // Same event machinery as EventSimulator, with effective durations.
-  std::vector<dag::TaskId> prev_on_vm(n, dag::kInvalidTask);
-  std::vector<dag::TaskId> next_on_vm(n, dag::kInvalidTask);
-  for (const cloud::Vm& vm : pool.vms()) {
-    const auto& ps = vm.placements();
-    for (std::size_t i = 1; i < ps.size(); ++i) {
-      prev_on_vm[ps[i].task] = ps[i - 1].task;
-      next_on_vm[ps[i - 1].task] = ps[i].task;
-    }
-  }
-
-  std::vector<std::size_t> waiting(n, 0);
-  std::vector<util::Seconds> ready_at(n, 0.0);
-  for (const dag::Task& t : wf.tasks()) {
-    const cloud::Vm& vm = pool.vm(schedule.assignment(t.id).vm);
-    ready_at[t.id] = platform.boot_delay(vm.size(), vm.region());
-    waiting[t.id] = wf.predecessors(t.id).size();
-    if (prev_on_vm[t.id] != dag::kInvalidTask) ++waiting[t.id];
-  }
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> finish_events;
-  auto start_task = [&](dag::TaskId t) {
-    result.tasks[t].start = ready_at[t];
-    result.tasks[t].end = ready_at[t] + effective[t];
-    finish_events.push(Event{result.tasks[t].end, t});
-  };
-  for (const dag::Task& t : wf.tasks())
-    if (waiting[t.id] == 0) start_task(t.id);
-
-  auto post_constraint = [&](dag::TaskId t, util::Seconds available) {
-    ready_at[t] = std::max(ready_at[t], available);
-    if (--waiting[t] == 0) start_task(t);
-  };
-
-  while (!finish_events.empty()) {
-    const Event ev = finish_events.top();
-    finish_events.pop();
-    result.makespan = std::max(result.makespan, ev.time);
-
-    const cloud::Vm& from_vm = pool.vm(schedule.assignment(ev.task).vm);
-    for (dag::TaskId s : wf.successors(ev.task)) {
-      const cloud::Vm& to_vm = pool.vm(schedule.assignment(s).vm);
-      const util::Seconds transfer =
-          platform.transfer_time(wf.edge_data(ev.task, s), from_vm, to_vm);
-      post_constraint(s, ev.time + transfer);
-    }
-    if (next_on_vm[ev.task] != dag::kInvalidTask)
-      post_constraint(next_on_vm[ev.task], ev.time);
-  }
+  ReplayResult replay =
+      EventSimulator(platform).replay(wf, schedule, effective);
+  result.tasks = std::move(replay.tasks);
+  result.makespan = replay.makespan;
   return result;
 }
 

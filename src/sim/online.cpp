@@ -1,21 +1,9 @@
 #include "sim/online.hpp"
 
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 
 namespace cloudwf::sim {
-
-namespace {
-struct Event {
-  util::Seconds time = 0;
-  dag::TaskId task = dag::kInvalidTask;
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.task > b.task;
-  }
-};
-}  // namespace
 
 std::vector<util::Seconds> RuntimeErrorModel::sample_actual_works(
     const dag::Workflow& wf, util::Rng& rng) const {
@@ -45,62 +33,12 @@ ReplayResult replay_with_actuals(const dag::Workflow& wf, const Schedule& schedu
   if (actual_works.size() != wf.task_count())
     throw std::invalid_argument("replay_with_actuals: actual_works size mismatch");
 
-  const std::size_t n = wf.task_count();
-  const cloud::VmPool& pool = schedule.pool();
-
-  std::vector<dag::TaskId> prev_on_vm(n, dag::kInvalidTask);
-  std::vector<dag::TaskId> next_on_vm(n, dag::kInvalidTask);
-  for (const cloud::Vm& vm : pool.vms()) {
-    const auto& ps = vm.placements();
-    for (std::size_t i = 1; i < ps.size(); ++i) {
-      prev_on_vm[ps[i].task] = ps[i - 1].task;
-      next_on_vm[ps[i - 1].task] = ps[i].task;
-    }
-  }
-
-  std::vector<std::size_t> waiting(n, 0);
-  std::vector<util::Seconds> ready_at(n, 0.0);
-  for (const dag::Task& t : wf.tasks()) {
-    const cloud::Vm& vm = pool.vm(schedule.assignment(t.id).vm);
-    ready_at[t.id] = platform.boot_delay(vm.size(), vm.region());
-    waiting[t.id] = wf.predecessors(t.id).size();
-    if (prev_on_vm[t.id] != dag::kInvalidTask) ++waiting[t.id];
-  }
-
-  ReplayResult result;
-  result.tasks.assign(n, ReplayedTask{});
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-
-  auto start_task = [&](dag::TaskId t) {
-    const cloud::Vm& vm = pool.vm(schedule.assignment(t).vm);
-    result.tasks[t].start = ready_at[t];
-    result.tasks[t].end =
-        ready_at[t] + cloud::exec_time(actual_works[t], vm.size());
-    events.push(Event{result.tasks[t].end, t});
-  };
+  std::vector<util::Seconds> durations(wf.task_count());
   for (const dag::Task& t : wf.tasks())
-    if (waiting[t.id] == 0) start_task(t.id);
-
-  auto post = [&](dag::TaskId t, util::Seconds available) {
-    ready_at[t] = std::max(ready_at[t], available);
-    if (--waiting[t] == 0) start_task(t);
-  };
-
-  while (!events.empty()) {
-    const Event ev = events.top();
-    events.pop();
-    ++result.events_processed;
-    result.makespan = std::max(result.makespan, ev.time);
-    const cloud::Vm& from_vm = pool.vm(schedule.assignment(ev.task).vm);
-    for (dag::TaskId s : wf.successors(ev.task)) {
-      const cloud::Vm& to_vm = pool.vm(schedule.assignment(s).vm);
-      post(s, ev.time + platform.transfer_time(wf.edge_data(ev.task, s),
-                                               from_vm, to_vm));
-    }
-    if (next_on_vm[ev.task] != dag::kInvalidTask) post(next_on_vm[ev.task], ev.time);
-  }
-  return result;
+    durations[t.id] = cloud::exec_time(
+        actual_works[t.id],
+        schedule.pool().vm(schedule.assignment(t.id).vm).size());
+  return EventSimulator(platform).replay(wf, schedule, durations);
 }
 
 }  // namespace cloudwf::sim

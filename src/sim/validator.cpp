@@ -1,6 +1,5 @@
 #include "sim/validator.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -104,20 +103,17 @@ bool validate_into(const dag::Workflow& wf, const Schedule& schedule,
                  " placements for " + std::to_string(wf.task_count()) +
                  " tasks");
 
-  // Exclusivity: placements on one VM must not overlap (sorted by start).
-  // One scratch buffer serves every VM.
-  std::vector<cloud::Placement> ps;
+  // Exclusivity: walked in timeline (append) order, the order
+  // EventSimulator replays, each placement must start no earlier than the
+  // latest end before it — Vm::place's own rule.
   for (const cloud::Vm& vm : pool.vms()) {
-    ps.assign(vm.placements().begin(), vm.placements().end());
-    std::sort(ps.begin(), ps.end(),
-              [](const cloud::Placement& x, const cloud::Placement& y) {
-                return x.start < y.start;
-              });
-    for (std::size_t i = 1; i < ps.size(); ++i) {
-      if (util::time_gt(ps[i - 1].end, ps[i].start))
+    const cloud::Placement* latest = nullptr;  // holds the latest end so far
+    for (const cloud::Placement& p : vm.placements()) {
+      if (latest != nullptr && cloud::overlaps_timeline(latest->end, p.start))
         complain("overlap", "VM " + std::to_string(vm.id()) + ": " +
-                                task_label(wf, ps[i - 1].task) + " overlaps " +
-                                task_label(wf, ps[i].task));
+                                task_label(wf, latest->task) + " overlaps " +
+                                task_label(wf, p.task));
+      if (latest == nullptr || p.end > latest->end) latest = &p;
     }
   }
 

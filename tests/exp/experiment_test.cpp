@@ -49,21 +49,6 @@ TEST(ExperimentRunner, MaterializeIsDeterministic) {
     EXPECT_DOUBLE_EQ(t.work, b.task(t.id).work);
 }
 
-TEST(ExperimentRunner, ParallelGridMatchesSerialExactly) {
-  const ExperimentRunner runner;
-  const auto serial = runner.run_grid();
-  const auto parallel = runner.run_grid_parallel();
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].strategy, parallel[i].strategy);
-    EXPECT_EQ(serial[i].workflow, parallel[i].workflow);
-    EXPECT_EQ(serial[i].scenario, parallel[i].scenario);
-    EXPECT_DOUBLE_EQ(serial[i].metrics.makespan, parallel[i].metrics.makespan);
-    EXPECT_EQ(serial[i].metrics.total_cost, parallel[i].metrics.total_cost);
-    EXPECT_DOUBLE_EQ(serial[i].relative.gain_pct, parallel[i].relative.gain_pct);
-  }
-}
-
 // The registry's family and size columns — the groupings the reports and
 // the Table III/IV classifiers rely on.
 const scheduling::StrategyEntry& entry(std::string_view label) {

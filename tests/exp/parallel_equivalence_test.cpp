@@ -92,12 +92,6 @@ TEST(ParallelEquivalence, RunAllEveryPaperWorkflow) {
   }
 }
 
-TEST(ParallelEquivalence, RunGridMatchesParallelGridOnThePool) {
-  const ExperimentRunner runner(cloud::Platform::ec2(), {}, ParallelConfig{4});
-  expect_identical_runs(runner.run_grid(), runner.run_grid_parallel(),
-                        "grid threads=4");
-}
-
 TEST(ParallelEquivalence, SizeSweepAnyWorkerCount) {
   const std::vector<std::size_t> sizes = {4, 6, 10};
   const auto serial = montage_size_sweep(sizes, 0x1db2013, ParallelConfig{1});

@@ -100,6 +100,24 @@ TEST(Validator, SameVmNeedsNoTransferSlack) {
   EXPECT_TRUE(validate(f.wf, s, f.platform).empty());
 }
 
+TEST(Validator, OverlapFollowsPlaceOnTheTimelineOrder) {
+  // y and z take next to no time at 310 s; c is appended after them and
+  // starts 0.9 us earlier, inside the schedule-time slack Vm::place allows
+  // before the latest end. Sorted by start, c would cover y and z; walked
+  // in append order, as place and the replay see it, nothing overlaps.
+  dag::Workflow wf{"slack"};
+  const dag::TaskId y = wf.add_task("y", 1e-8);
+  const dag::TaskId z = wf.add_task("z", 1e-8);
+  const dag::TaskId c = wf.add_task("c", 50.0);
+  constexpr util::Seconds kDrift = 0.9 * util::kTimeEpsilon;
+  Schedule s(wf);
+  const cloud::VmId vm = s.rent(cloud::InstanceSize::small, 0);
+  s.assign(y, vm, 310.0, 310.0);
+  s.assign(z, vm, 310.0, 310.0);
+  s.assign(c, vm, 310.0 - kDrift, 360.0 - kDrift);
+  EXPECT_TRUE(validate(wf, s, cloud::Platform::ec2()).empty());
+}
+
 TEST(Validator, SizeMismatchReported) {
   Fixture f;
   const Schedule s(3);  // wrong task count

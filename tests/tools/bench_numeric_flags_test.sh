@@ -3,14 +3,11 @@
 # a malformed value must exit 1 with an error naming the flag (or the
 # positional argument), before any benchmark work starts.
 #
-#   bench_numeric_flags_test.sh <bench_parallel_sweep> <bench_trace_overhead>
-#                               <bench_service> <bench_distributed>
+#   bench_numeric_flags_test.sh <bench_trace_overhead> <bench_distributed>
 set -u
 
-SWEEP=$1
-TRACE=$2
-SERVICE=$3
-DISTRIBUTED=$4
+TRACE=$1
+DISTRIBUTED=$2
 failures=0
 
 # expect_reject <name> <cmd...>: exit 1, and stderr names <name>.
@@ -26,15 +23,8 @@ expect_reject() {
   fi
 }
 
-expect_reject seeds "$SWEEP" 12abc
-expect_reject seeds "$SWEEP" -3
-expect_reject seeds "$SWEEP" 0
 expect_reject repeats "$TRACE" nine
 expect_reject repeats "$TRACE" 9x
-expect_reject requests "$SERVICE" 4k
-expect_reject --workers "$SERVICE" --workers 0x4
-expect_reject --workers "$SERVICE" --workers 0
-expect_reject --concurrency "$SERVICE" --concurrency -8
 expect_reject --seeds "$DISTRIBUTED" --seeds 1e3
 expect_reject --reps "$DISTRIBUTED" --reps three
 expect_reject --remote-ms "$DISTRIBUTED" --remote-ms 60ms

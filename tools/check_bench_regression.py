@@ -4,15 +4,12 @@
 Usage:
     check_bench_regression.py BASELINE.json CURRENT.json [--threshold 0.15]
 
-Three baseline kinds are auto-detected from the file contents:
+Two baseline kinds are auto-detected from the file contents:
 
-  - sweep (BENCH_SWEEP.json, written by `bench_parallel_sweep --json`):
-    carries `median_serial_ms` — a *cost*, lower is better. Fails when the
-    current median is more than THRESHOLD slower than the baseline.
-  - service (BENCH_SERVICE.json, written by `bench_service --json` or
-    `cloudwf_load --json`): carries `requests_per_second` — a *rate*,
-    higher is better. Fails when current throughput drops more than
-    THRESHOLD below the baseline, or when the current run recorded errors.
+  - sweep (BENCH_SCENARIOS.json and BENCH_MULTITENANT.json, written by
+    `bench_scenarios --json` and `bench_multitenant --json`): carries
+    `median_serial_ms` — a *cost*, lower is better. Fails when the current
+    median is more than THRESHOLD slower than the baseline.
   - distributed (BENCH_DISTRIBUTED.json, written by
     `bench_distributed --json`): carries `median_distributed_ms` (the
     2-worker wall time) — a *cost*, lower is better — plus the measured
@@ -45,14 +42,11 @@ def load_doc(path: str) -> dict:
 def kind_of(doc: dict, path: str) -> str:
     if "median_distributed_ms" in doc:
         return "distributed"
-    if "requests_per_second" in doc:
-        return "service"
     if "median_serial_ms" in doc:
         return "sweep"
     raise SystemExit(
-        f"{path}: none of 'median_distributed_ms' (distributed), "
-        f"'median_serial_ms' (sweep) or 'requests_per_second' (service) "
-        f"present"
+        f"{path}: neither 'median_distributed_ms' (distributed) nor "
+        f"'median_serial_ms' (sweep) present"
     )
 
 
@@ -110,15 +104,8 @@ def main() -> int:
         for key in ("benchmark", "workflow", "seeds"):
             if key not in base_doc:
                 raise SystemExit(f"{args.baseline}: missing '{key}' field")
-        base = metric(base_doc, args.baseline, "median_serial_ms")
-        cur = metric(cur_doc, args.current, "median_serial_ms")
-        if normalized:
-            base, cur, unit = base / base_cal, cur / cur_cal, "x calibration"
-        else:
-            unit = "ms (raw)"
-        ratio = cur / base  # cost: higher current = regression
-        what = "sweep"
-    elif kind == "distributed":
+        field, what = "median_serial_ms", "sweep"
+    else:
         # Cost comparison on the 2-worker wall time, plus an absolute floor
         # on the current run's measured 2-worker speedup: a fabric that
         # stopped scaling fails even if its wall time looks unchanged.
@@ -132,33 +119,14 @@ def main() -> int:
             )
             return 1
         print(f"speedup_2x: {speedup:.3f} (floor {args.speedup_floor:.2f})")
-        base = metric(base_doc, args.baseline, "median_distributed_ms")
-        cur = metric(cur_doc, args.current, "median_distributed_ms")
-        if normalized:
-            base, cur, unit = base / base_cal, cur / cur_cal, "x calibration"
-        else:
-            unit = "ms (raw)"
-        ratio = cur / base  # cost: higher current = regression
-        what = "distributed sweep"
+        field, what = "median_distributed_ms", "distributed sweep"
+    base = metric(base_doc, args.baseline, field)
+    cur = metric(cur_doc, args.current, field)
+    if normalized:
+        base, cur, unit = base / base_cal, cur / cur_cal, "x calibration"
     else:
-        errors = int(cur_doc.get("errors", 0) or 0)
-        if errors > 0:
-            print(
-                f"FAIL: current service run recorded {errors} failed "
-                f"requests",
-                file=sys.stderr,
-            )
-            return 1
-        base = metric(base_doc, args.baseline, "requests_per_second")
-        cur = metric(cur_doc, args.current, "requests_per_second")
-        if normalized:
-            # req/s x calibration-ms: a machine-independent throughput score
-            # (requests per calibration-kernel unit of CPU speed).
-            base, cur, unit = base * base_cal, cur * cur_cal, "x calibration"
-        else:
-            unit = "req/s (raw)"
-        ratio = base / cur  # rate: lower current = regression
-        what = "service throughput"
+        unit = "ms (raw)"
+    ratio = cur / base  # cost: higher current = regression
 
     print(
         f"kind: {kind} | baseline: {base:.3f} {unit} | current: {cur:.3f} "

@@ -33,8 +33,9 @@
 // Content-Type, and every 2xx response body must decode back to the
 // matching response frame — a decode failure counts as an error.
 //
-// Per-request latencies feed a p50/p95/p99 report; --json writes the
-// BENCH_SERVICE.json shape tools/check_bench_regression.py gates on.
+// Per-request latencies feed a p50/p95/p99 report; --json also writes it
+// as one object: the run's settings, ok/rejected_429/errors counts,
+// wall_s, requests_per_second and p50_ms/p95_ms/p99_ms.
 // Exit status is nonzero when any request failed (non-2xx or transport),
 // except 429 rejections when --tolerate-429 is given.
 #include <algorithm>
