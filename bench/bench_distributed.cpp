@@ -1,15 +1,16 @@
-// Scaling bench for the distributed sweep fabric: one fixed grid driven
-// through the push-mode coordinator (dist::run_distributed) with 1, 2 and
-// 4 workers, each worker a transport that executes the shard and then
-// holds its lease for a fixed remote-service time (--remote-ms), emulating
-// the dominant cost of a real deployment — the remote machine computing
-// while the coordinator waits. The shard count is held constant across
-// worker counts, so the measured speedup is pure coordinator overlap: can
-// the fabric keep W leases in flight at once, re-merge in order, and not
-// serialize anywhere? (CPU-bound scaling on a multicore host is measured
-// by the existing bench_parallel_sweep; this bench isolates the fabric and
-// therefore also measures honestly on a single-core CI runner, where
-// `--remote-ms 0` would show nothing but tracker overhead.)
+// Scaling bench for the distributed sweep fabric: one fixed grid served by
+// a dist::CoordinatorServer to 1, 2 and 4 workers — in-process
+// dist::run_worker threads over loopback HTTP, each holding every lease
+// for a fixed remote-service time (--remote-ms, the worker's
+// delay_per_shard) after executing the shard. That emulates the dominant
+// cost of a real deployment: the remote machine computing while the
+// coordinator waits. The shard count is held constant across worker
+// counts, so the measured speedup is pure coordinator overlap: can the
+// fabric keep W leases in flight at once, re-merge in order, and not
+// serialize anywhere? (CPU-bound scaling on a multicore host is perfbench
+// sweep-paper's; this bench isolates the fabric and therefore also
+// measures honestly on a single-core CI runner, where `--remote-ms 0`
+// would show nothing but lease and HTTP overhead.)
 //
 // Every distributed run is byte-compared against the serial
 // exp::run_grid_serial rows — the bench aborts on any divergence, so a
@@ -27,14 +28,13 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/coordinator.hpp"
+#include "dist/worker.hpp"
 #include "exp/sweep_grid.hpp"
 #include "scheduling/factory.hpp"
 #include "util/parse.hpp"
@@ -47,27 +47,26 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using cloudwf::util::format_double;
 
-/// In-process push transport emulating a remote worker: run the shard
-/// here, then hold the lease for the configured remote-service time (the
-/// remote machine's compute + network cost a coordinator must overlap).
-class RemoteEmulatingTransport : public cloudwf::dist::ShardTransport {
- public:
-  RemoteEmulatingTransport(const cloudwf::cloud::Platform& platform,
-                           std::chrono::milliseconds remote)
-      : platform_(platform), remote_(remote) {}
-
-  std::optional<std::vector<cloudwf::exp::SweepRow>> execute(
-      const cloudwf::exp::ShardSpec& shard) override {
-    std::vector<cloudwf::exp::SweepRow> rows =
-        cloudwf::exp::run_shard(shard, platform_);
-    if (remote_.count() > 0) std::this_thread::sleep_for(remote_);
-    return rows;
-  }
-
- private:
-  const cloudwf::cloud::Platform& platform_;
-  std::chrono::milliseconds remote_;
-};
+/// One distributed sweep of `grid` in `shards` shards over `workers`
+/// worker threads, each holding its lease `remote` past the shard's run.
+cloudwf::dist::SweepOutcome run_pull(const cloudwf::exp::SweepGridSpec& grid,
+                                     std::size_t shards, std::size_t workers,
+                                     std::chrono::milliseconds remote,
+                                     const cloudwf::cloud::Platform& platform) {
+  cloudwf::dist::CoordinatorServer coordinator(grid, shards, {});
+  coordinator.start();
+  cloudwf::dist::WorkerOptions options;
+  options.port = coordinator.port();
+  options.delay_per_shard = remote;
+  options.poll_interval = std::chrono::milliseconds(2);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < workers; ++w)
+    threads.emplace_back(
+        [&] { (void)cloudwf::dist::run_worker(options, platform); });
+  cloudwf::dist::SweepOutcome outcome = coordinator.finish();
+  for (std::thread& thread : threads) thread.join();
+  return outcome;
+}
 
 }  // namespace
 
@@ -139,10 +138,9 @@ int main(int argc, char** argv) {
   std::cout << "  serial      " << format_double(median_serial, 1)
             << " ms (median of " << reps << ")\n";
 
-  // Fixed shard count across worker counts: with W x (16 / W) the grid is
-  // always cut into the same 16 shards, so wall-time differences come only
-  // from how many leases the coordinator overlaps, never from a different
-  // partition.
+  // Fixed shard count across worker counts: the grid is always cut into
+  // the same 16 shards, so wall-time differences come only from how many
+  // leases the coordinator overlaps, never from a different partition.
   constexpr std::size_t kTotalShards = 16;
   const std::vector<std::size_t> worker_counts = {1, 2, 4};
   std::vector<double> medians(worker_counts.size(), 0.0);
@@ -150,15 +148,10 @@ int main(int argc, char** argv) {
     const std::size_t count = worker_counts[i];
     std::vector<double> samples;
     for (std::size_t r = 0; r < reps; ++r) {
-      std::vector<std::shared_ptr<cloudwf::dist::ShardTransport>> workers;
-      for (std::size_t w = 0; w < count; ++w)
-        workers.push_back(std::make_shared<RemoteEmulatingTransport>(
-            platform, std::chrono::milliseconds(remote_ms)));
-      cloudwf::dist::CoordinatorOptions options;
-      options.shards_per_worker = kTotalShards / count;
       const Clock::time_point start = Clock::now();
       const cloudwf::dist::SweepOutcome outcome =
-          cloudwf::dist::run_distributed(grid, workers, options);
+          run_pull(grid, kTotalShards, count,
+                   std::chrono::milliseconds(remote_ms), platform);
       samples.push_back(
           std::chrono::duration<double, std::milli>(Clock::now() - start)
               .count());

@@ -1,8 +1,8 @@
 #include "dist/coordinator.hpp"
 
-#include <netinet/in.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -15,102 +15,47 @@
 
 namespace cloudwf::dist {
 
-std::optional<std::vector<exp::SweepRow>> HttpShardTransport::execute(
-    const exp::ShardSpec& shard) {
-  if (!client_.connected() &&
-      !client_.connect(options_.host, options_.port))
-    return std::nullopt;
+namespace {
 
-  std::vector<std::pair<std::string, std::string>> headers;
-  if (!options_.auth_token.empty())
-    headers.emplace_back("X-Auth-Token", options_.auth_token);
+constexpr const char* kDeadSweep =
+    "distributed sweep failed: a shard exhausted its attempts (every worker "
+    "that tried it was lost)";
 
-  std::optional<svc::HttpResponse> response;
-  if (options_.binary) {
-    response = client_.request("POST", "/v1/shard",
-                               svc::encode_frame(shard), headers,
-                               svc::kBinaryContentType);
-  } else {
-    response = client_.request("POST", "/v1/shard",
-                               svc::shard_request_body(shard), headers);
-  }
-  if (!response || response->status != 200) return std::nullopt;
-
-  try {
-    if (options_.binary) {
-      svc::BinFrame frame = svc::decode_frame(response->body);
-      auto* decoded = std::get_if<svc::BinShardResponse>(&frame);
-      if (decoded == nullptr || decoded->shard_id != shard.shard_id)
-        return std::nullopt;
-      return std::move(decoded->rows);
-    }
-    const svc::ShardResult result =
-        svc::decode_shard_result(util::Json::parse(response->body));
-    if (result.shard_id != shard.shard_id) return std::nullopt;
-    return result.rows;
-  } catch (const std::exception&) {
-    return std::nullopt;  // undecodable answer == lost worker
-  }
+/// The grid cut into at least `requested` slices, and into enough that no
+/// slice is refused on the way: a worker rejects a shard over
+/// svc::kMaxCellsPerShard, and the loop answers 413 to a result frame over
+/// the HTTP body limit. A one-row frame with the grid's longest label
+/// over-counts every row's share of the frame, so `rows * row_bytes` bounds
+/// a frame of `rows` rows.
+std::vector<exp::ShardSpec> partition(const exp::SweepGridSpec& grid,
+                                      std::size_t requested) {
+  exp::SweepRow widest;
+  for (const std::string& label : grid.strategies)
+    if (label.size() > widest.strategy.size()) widest.strategy = label;
+  const std::uint64_t row_bytes =
+      svc::encode_frame(svc::BinShardResponse{0, {widest}}).size();
+  const std::uint64_t max_cells =
+      std::min<std::uint64_t>(svc::kMaxCellsPerShard,
+                              svc::HttpLimits{}.max_body_bytes / row_bytes);
+  const std::uint64_t needed = (grid.cell_count() + max_cells - 1) / max_cells;
+  return exp::partition_grid(
+      grid, std::max<std::uint64_t>(requested, needed));
 }
 
-SweepOutcome run_distributed(
-    const exp::SweepGridSpec& grid,
-    const std::vector<std::shared_ptr<ShardTransport>>& workers,
-    const CoordinatorOptions& options) {
-  if (workers.empty())
-    throw std::invalid_argument("run_distributed needs at least one worker");
-  const std::size_t shard_count = std::max<std::size_t>(
-      1, workers.size() * std::max<std::size_t>(1, options.shards_per_worker));
-  std::vector<exp::ShardSpec> shards = exp::partition_grid(grid, shard_count);
-  ShardTracker tracker(shards, options.tracker);
+}  // namespace
 
-  // One driver thread per worker: lease, execute, report, repeat. A failed
-  // execute fails the lease so the tracker re-issues immediately instead of
-  // waiting out the lease clock.
-  std::vector<std::thread> drivers;
-  drivers.reserve(workers.size());
-  for (const std::shared_ptr<ShardTransport>& worker : workers) {
-    drivers.emplace_back([&tracker, worker] {
-      for (;;) {
-        const Acquired lease = tracker.acquire_blocking();
-        if (lease.status == AcquireStatus::done) return;
-        std::optional<std::vector<exp::SweepRow>> rows =
-            worker->execute(lease.shard);
-        if (rows)
-          tracker.complete(lease.shard.shard_id, std::move(*rows));
-        else
-          tracker.fail(lease.shard.shard_id);
-      }
-    });
-  }
-  for (std::thread& driver : drivers) driver.join();
-
-  if (tracker.dead())
-    throw std::runtime_error(
-        "distributed sweep failed: a shard exhausted its attempts (every "
-        "worker that tried it was lost)");
-
-  SweepOutcome outcome;
-  outcome.rows = exp::merge_shards(shards, tracker.results());
-  outcome.stats = tracker.stats();
-  outcome.shard_count = shards.size();
-  return outcome;
-}
-
-// --- pull-mode coordinator ---------------------------------------------
-
-CoordinatorServer::CoordinatorServer(std::vector<exp::ShardSpec> shards,
-                                     Config config)
-    : shards_(std::move(shards)),
+CoordinatorServer::CoordinatorServer(const exp::SweepGridSpec& grid,
+                                     std::size_t shards, Config config)
+    : shards_(partition(grid, shards)),
       tracker_(shards_, config.tracker),
-      config_(config) {}
+      config_(std::move(config)) {}
 
 CoordinatorServer::~CoordinatorServer() { stop(); }
 
 void CoordinatorServer::start() {
   if (started_) throw std::logic_error("CoordinatorServer::start called twice");
-  const svc::Listener listener =
-      svc::open_listener(INADDR_LOOPBACK, config_.port);
+  const svc::Listener listener = svc::open_listener(
+      config_.bind_address, config_.port, config_.auth_token);
   listen_fd_ = listener.fd;
   port_ = listener.port;
   started_ = true;
@@ -130,6 +75,11 @@ void CoordinatorServer::start() {
 bool CoordinatorServer::handle(svc::HttpRequest&& request,
                                svc::HttpResponse& response,
                                svc::EventLoop::Completion /*done*/) {
+  if (!svc::authorized(request, config_.auth_token)) {
+    response.status = 401;
+    response.body = svc::error_body("missing or bad X-Auth-Token");
+    return true;
+  }
   if (request.target == "/v1/shard/lease") {
     if (request.method != "POST") {
       response.status = 405;
@@ -146,7 +96,12 @@ bool CoordinatorServer::handle(svc::HttpRequest&& request,
         response.body = svc::error_body("no shard available — retry");
         return true;
       case AcquireStatus::done:
-        response.status = 204;  // sweep finished: the worker may exit
+        if (tracker_.dead()) {
+          response.status = 410;  // the sweep failed: nothing left to do
+          response.body = svc::error_body(kDeadSweep);
+        } else {
+          response.status = 204;  // sweep finished: the worker may exit
+        }
         return true;
     }
   }
@@ -197,7 +152,7 @@ SweepOutcome CoordinatorServer::finish() {
   const bool was_dead = tracker_.dead();
 
   // Drain: a worker whose keep-alive connection is open right now is about
-  // to ask for another lease and must get its 204. Keep serving until every
+  // to ask for another lease and must get its 204 (or 410). Keep serving until every
   // connection has closed, or until kDrainIdle passes without a request (a
   // silent peer cannot hold the sweep open).
   constexpr auto kDrainIdle = std::chrono::seconds(1);
@@ -216,9 +171,7 @@ SweepOutcome CoordinatorServer::finish() {
     }
   }
   stop();
-  if (was_dead)
-    throw std::runtime_error(
-        "distributed sweep failed: a shard exhausted its attempts");
+  if (was_dead) throw std::runtime_error(kDeadSweep);
 
   SweepOutcome outcome;
   outcome.rows = exp::merge_shards(shards_, tracker_.results());

@@ -1,77 +1,33 @@
-// The coordinator side of the distributed sweep fabric.
+// The coordinator of the distributed sweep fabric.
 //
-// Two driving modes, one tracker:
+// CoordinatorServer partitions a sweep grid into shards and serves them to
+// `cloudwf worker` processes on one svc::EventLoop (the service's
+// nonblocking server core). Workers drive themselves:
 //
-//   Push — run_distributed() partitions the grid, then one coordinator
-//   thread per worker leases shards from a ShardTracker and executes them
-//   through a ShardTransport (HttpShardTransport POSTs /v1/shard to a
-//   `cloudwf serve` instance; tests inject failing/slow fakes). A transport
-//   failure fails the lease and the shard is re-issued to another worker.
+//   POST /v1/shard/lease   200 + a shard spec (JSON), 503 back off and
+//                          retry, 204 the sweep finished, 410 the sweep
+//                          failed (a shard exhausted its attempts).
+//   POST /v1/shard/result  a leased shard's rows: a binary shard_response
+//                          frame, or JSON (svc::decode_shard_result).
 //
-//   Pull — CoordinatorServer listens on loopback, on one svc::EventLoop
-//   (the service's nonblocking server core), and lets `cloudwf worker`
-//   processes drive themselves: POST /v1/shard/lease hands out a spec
-//   (204 once the sweep is finished, 503 when the worker should back off
-//   and retry), POST /v1/shard/result reports rows (binary shard_response
-//   frame or the JSON shard body). Lost workers are simply leases that
-//   expire.
-//
-// Either way the merged result is exp::merge_shards over the tracker's
-// rows — canonical grid order, certified bit-identical to the serial sweep
-// by the differential tests.
+// Lost workers are simply leases that expire; the ShardTracker re-issues
+// them and speculates around stragglers. The merged result is
+// exp::merge_shards over the tracker's rows — canonical grid order,
+// certified bit-identical to the serial sweep by the differential tests.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "cloud/platform.hpp"
 #include "dist/tracker.hpp"
 #include "exp/sweep_grid.hpp"
 #include "svc/event_loop.hpp"
 #include "svc/http.hpp"
 
 namespace cloudwf::dist {
-
-/// How a coordinator executes one shard on one worker. Implementations
-/// block until the shard finishes; nullopt means the worker is lost or the
-/// response was unusable (the caller fails the lease).
-class ShardTransport {
- public:
-  virtual ~ShardTransport() = default;
-  [[nodiscard]] virtual std::optional<std::vector<exp::SweepRow>> execute(
-      const exp::ShardSpec& shard) = 0;
-};
-
-/// Push-mode transport: POST /v1/shard against a `cloudwf serve` instance.
-class HttpShardTransport : public ShardTransport {
- public:
-  struct Options {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    bool binary = true;       ///< binproto frames; false = JSON bodies
-    std::string auth_token;   ///< sent as X-Auth-Token when non-empty
-  };
-
-  explicit HttpShardTransport(Options options) : options_(std::move(options)) {}
-
-  [[nodiscard]] std::optional<std::vector<exp::SweepRow>> execute(
-      const exp::ShardSpec& shard) override;
-
- private:
-  Options options_;
-  svc::HttpClient client_;
-};
-
-struct CoordinatorOptions {
-  /// Shards per worker: more shards than workers keeps everyone busy when
-  /// shard runtimes vary, and bounds the work lost to a failure.
-  std::size_t shards_per_worker = 4;
-  TrackerConfig tracker;
-};
 
 /// A finished sweep: merged rows in canonical grid order plus the fabric's
 /// bookkeeping (re-issues, duplicates, ...).
@@ -81,28 +37,28 @@ struct SweepOutcome {
   std::size_t shard_count = 0;
 };
 
-/// Push mode end to end: partition, drive every transport until the grid
-/// completes, merge. Throws std::runtime_error when a shard exhausts its
-/// attempts (every worker that tried it died).
-[[nodiscard]] SweepOutcome run_distributed(
-    const exp::SweepGridSpec& grid,
-    const std::vector<std::shared_ptr<ShardTransport>>& workers,
-    const CoordinatorOptions& options = {});
-
-/// Pull-mode coordinator: the lease and result routes over the tracker,
-/// served by one svc::EventLoop — one thread however many workers hold
-/// keep-alive connections (at most the loop's 128; beyond that a worker is
-/// answered 503 and retries). Binds loopback only (workers on other
-/// machines connect to a `cloudwf serve` fleet in push mode instead — that
-/// path has the auth token).
+/// The lease and result routes over a ShardTracker, served by one
+/// svc::EventLoop — one thread however many workers hold keep-alive
+/// connections (at most the loop's 128; beyond that a worker is answered
+/// 503 and retries).
 class CoordinatorServer {
  public:
   struct Config {
     std::uint16_t port = 0;  ///< 0 = ephemeral; see port()
+    /// IPv4 address to bind. Anything but loopback requires auth_token —
+    /// start() refuses to expose an unauthenticated coordinator.
+    std::string bind_address = "127.0.0.1";
+    /// Shared secret. When non-empty, every request must carry it in
+    /// X-Auth-Token (compared in constant time) or is answered 401.
+    std::string auth_token;
     TrackerConfig tracker;
   };
 
-  CoordinatorServer(std::vector<exp::ShardSpec> shards, Config config);
+  /// Partitions `grid` into `shards` contiguous slices, or more when a
+  /// slice would be larger than a worker accepts or than its binary result
+  /// frame can carry back (svc::kMaxCellsPerShard, the HTTP body limit).
+  CoordinatorServer(const exp::SweepGridSpec& grid, std::size_t shards,
+                    Config config);
   ~CoordinatorServer();
 
   CoordinatorServer(const CoordinatorServer&) = delete;
@@ -114,7 +70,7 @@ class CoordinatorServer {
   /// Blocks until every shard completed (or the sweep died), then drains:
   /// the loop keeps serving until every worker connection has closed or no
   /// request has arrived for 1 s, so a worker whose keep-alive connection
-  /// is open when the last shard completes still gets its 204. Then stops
+  /// is open when the sweep ends still gets its 204 (or 410). Then stops
   /// the listener and returns the merged sweep. Throws std::runtime_error
   /// on a dead sweep.
   [[nodiscard]] SweepOutcome finish();

@@ -66,23 +66,21 @@ Acquired ShardTracker::acquire_locked(
   // 3. Speculation: double-run the longest-outstanding single lease once it
   // has consumed at least half its lease window (a straggler, not a shard
   // that was just handed out).
-  if (config_.speculative) {
-    std::size_t best = entries_.size();
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& entry = entries_[i];
-      if (entry.state != State::leased || entry.live_leases != 1 ||
-          entry.attempts >= config_.max_attempts)
-        continue;
-      if (now - entry.oldest_lease < config_.lease_timeout / 2) continue;
-      if (best == entries_.size() ||
-          entry.oldest_lease < entries_[best].oldest_lease)
-        best = i;
-    }
-    if (best != entries_.size()) {
-      grant(best);
-      stats_.reissues_speculative += 1;
-      return result;
-    }
+  std::size_t best = entries_.size();
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& entry = entries_[i];
+    if (entry.state != State::leased || entry.live_leases != 1 ||
+        entry.attempts >= config_.max_attempts)
+      continue;
+    if (now - entry.oldest_lease < config_.lease_timeout / 2) continue;
+    if (best == entries_.size() ||
+        entry.oldest_lease < entries_[best].oldest_lease)
+      best = i;
+  }
+  if (best != entries_.size()) {
+    grant(best);
+    stats_.reissues_speculative += 1;
+    return result;
   }
   result.status = AcquireStatus::wait;
   return result;
@@ -93,19 +91,6 @@ Acquired ShardTracker::acquire() {
   const std::lock_guard<std::mutex> lock(mutex_);
   refresh_locked(now);
   return acquire_locked(now);
-}
-
-Acquired ShardTracker::acquire_blocking() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    refresh_locked(now);
-    Acquired result = acquire_locked(now);
-    if (result.status != AcquireStatus::wait) return result;
-    // Lease expiries and speculation windows are time-driven, not
-    // event-driven — poll on a short clock alongside the cv.
-    changed_.wait_for(lock, std::chrono::milliseconds(20));
-  }
 }
 
 bool ShardTracker::complete(std::uint64_t shard_id,
@@ -124,22 +109,6 @@ bool ShardTracker::complete(std::uint64_t shard_id,
   stats_.completions += 1;
   changed_.notify_all();
   return true;
-}
-
-void ShardTracker::fail(std::uint64_t shard_id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (shard_id >= entries_.size()) return;
-  Entry& entry = entries_[shard_id];
-  if (entry.state == State::done) return;
-  stats_.failures_reported += 1;
-  if (entry.live_leases > 0) entry.live_leases -= 1;
-  if (entry.live_leases == 0) {
-    if (entry.attempts >= config_.max_attempts)
-      dead_ = true;
-    else
-      entry.state = State::pending;
-  }
-  changed_.notify_all();
 }
 
 bool ShardTracker::all_done() const {

@@ -4,22 +4,20 @@
 // exp::partition_grid and hands shards out under time-limited leases:
 //
 //   - acquire() grants the oldest pending shard, else re-issues a shard
-//     whose lease expired, else (speculation) re-issues the
-//     longest-outstanding live lease so a straggler cannot stall the tail
-//     of the sweep.
+//     whose lease expired (a lost worker never reports; its lease simply
+//     times out), else (speculation) re-issues the longest-outstanding live
+//     lease once it is past half its window, so a straggler cannot stall
+//     the tail of the sweep. At most one speculative copy runs per shard.
 //   - complete() is first-completion-wins: the first rows reported for a
 //     shard id are stored, every later report is discarded as a duplicate
 //     (re-issued shards race by design; both answers are bit-identical, so
 //     dropping the loser is safe).
-//   - fail() requeues a shard immediately when a transport reports a dead
-//     worker, without waiting for the lease clock.
 //
 // Each grant consumes one of `max_attempts` attempts; a shard whose
 // attempts are exhausted and whose leases have all expired marks the sweep
 // dead (`dead()`) rather than looping forever on a poisoned shard.
 //
-// All methods are thread-safe; workers (threads or HTTP handlers) share
-// one tracker.
+// All methods are thread-safe.
 #pragma once
 
 #include <chrono>
@@ -39,10 +37,6 @@ struct TrackerConfig {
   /// Total grants per shard (first lease + re-issues). Exhausting this
   /// without a completion marks the sweep dead.
   std::size_t max_attempts = 4;
-  /// Re-issue the longest-outstanding live lease when nothing else is
-  /// available (straggler speculation). At most one speculative copy runs
-  /// per shard: only shards with a single live lease are eligible.
-  bool speculative = true;
 };
 
 /// Monotonic counters, readable while the sweep runs.
@@ -51,7 +45,6 @@ struct TrackerStats {
   std::uint64_t reissues_expired = 0;      ///< grants after a lease timed out
   std::uint64_t reissues_speculative = 0;  ///< straggler double-runs
   std::uint64_t duplicates_discarded = 0;  ///< complete() after first winner
-  std::uint64_t failures_reported = 0;     ///< fail() calls
   std::uint64_t completions = 0;           ///< first completions accepted
 };
 
@@ -75,15 +68,9 @@ class ShardTracker {
   /// Non-blocking grant (see the header comment for the preference order).
   [[nodiscard]] Acquired acquire();
 
-  /// Blocks until a shard can be granted or the sweep finishes/dies.
-  [[nodiscard]] Acquired acquire_blocking();
-
   /// Reports a shard's rows. Returns true when this call won (rows stored),
   /// false for a duplicate or unknown shard id (rows discarded).
   bool complete(std::uint64_t shard_id, std::vector<exp::SweepRow> rows);
-
-  /// Requeues a shard after a transport failure. No-op once completed.
-  void fail(std::uint64_t shard_id);
 
   /// True when every shard has accepted rows.
   [[nodiscard]] bool all_done() const;

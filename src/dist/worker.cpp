@@ -16,6 +16,9 @@ WorkerReport run_worker(const WorkerOptions& options,
                         const cloud::Platform& platform) {
   WorkerReport report;
   svc::HttpClient client;
+  std::vector<std::pair<std::string, std::string>> headers;
+  if (!options.auth_token.empty())
+    headers.emplace_back("X-Auth-Token", options.auth_token);
 
   // The coordinator may come up after the worker (CI starts both at once) —
   // retry the first connect on a short clock before giving up.
@@ -27,7 +30,7 @@ WorkerReport run_worker(const WorkerOptions& options,
 
   while (report.shards_completed < options.max_shards) {
     const std::optional<svc::HttpResponse> lease =
-        client.request("POST", "/v1/shard/lease");
+        client.request("POST", "/v1/shard/lease", "", headers);
     if (!lease) return report;  // coordinator gone
     if (lease->status == 204) {
       report.finished = true;
@@ -37,7 +40,12 @@ WorkerReport run_worker(const WorkerOptions& options,
       std::this_thread::sleep_for(options.poll_interval);
       continue;
     }
-    if (lease->status != 200) return report;
+    if (lease->status != 200) {
+      // A refusal (401 without the token, 410 for a failed sweep); the
+      // error body says why.
+      report.failure = std::to_string(lease->status) + ": " + lease->body;
+      return report;
+    }
 
     exp::ShardSpec shard;
     std::vector<exp::SweepRow> rows;
@@ -60,7 +68,7 @@ WorkerReport run_worker(const WorkerOptions& options,
     result.rows = std::move(rows);
     const std::optional<svc::HttpResponse> posted =
         client.request("POST", "/v1/shard/result",
-                       svc::encode_frame(std::move(result)), {},
+                       svc::encode_frame(std::move(result)), headers,
                        svc::kBinaryContentType);
     if (!posted) return report;
     if (posted->status != 200) {

@@ -10,12 +10,6 @@ namespace cloudwf::svc {
 namespace {
 
 std::string batch_key(const QueuedRequest& request) {
-  // Shards never coalesce: each is a distinct batch job keyed by its own
-  // slice (two shards share no cells, so there is nothing to share).
-  if (request.kind == QueuedRequest::Kind::shard)
-    return "shard|" + std::to_string(request.shard.shard_id) + '|' +
-           std::to_string(request.shard.cell_begin) + '-' +
-           std::to_string(request.shard.cell_end);
   const bool is_eval = request.kind == QueuedRequest::Kind::evaluate;
   std::string key = is_eval ? request.evaluate.workflow : request.rank.workflow;
   key += '|';
@@ -127,20 +121,15 @@ HttpResponse Batcher::answer(QueuedRequest& request, EvalCache& cache) {
     return response;
   }
   try {
-    if (request.kind == QueuedRequest::Kind::shard) {
-      response.body = binary ? shard_body_bin(request.shard, platform_)
-                             : shard_body(request.shard, platform_);
-    } else {
-      const bool is_eval = request.kind == QueuedRequest::Kind::evaluate;
-      if (binary)
-        response.body =
-            is_eval ? evaluate_body_bin(request.evaluate, platform_, &cache)
-                    : rank_body_bin(request.rank, platform_, &cache);
-      else
-        response.body =
-            is_eval ? evaluate_body(request.evaluate, platform_, &cache)
-                    : rank_body(request.rank, platform_, &cache);
-    }
+    const bool is_eval = request.kind == QueuedRequest::Kind::evaluate;
+    if (binary)
+      response.body =
+          is_eval ? evaluate_body_bin(request.evaluate, platform_, &cache)
+                  : rank_body_bin(request.rank, platform_, &cache);
+    else
+      response.body = is_eval
+                          ? evaluate_body(request.evaluate, platform_, &cache)
+                          : rank_body(request.rank, platform_, &cache);
     counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
   } catch (const BadRequest& e) {
     counters_.bad_request_400.fetch_add(1, std::memory_order_relaxed);
@@ -174,12 +163,8 @@ void Batcher::run_batch() {
   counters_.batches_run.fetch_add(1, std::memory_order_relaxed);
 
   {
-    // Shard keys are unique per slice, so shard batches share one phase
-    // name; a per-key name would grow /stats by one entry per shard served.
-    const bool shard =
-        !batch.empty() && batch.front().kind == QueuedRequest::Kind::shard;
     std::optional<obs::PhaseScope> phase;
-    phase.emplace(shard ? "svc: batch shard" : "svc: batch " + key);
+    phase.emplace("svc: batch " + key);
     EvalCache cache;  // shared across the whole batch: coalesced requests
                       // with overlapping cells evaluate each cell once
     for (QueuedRequest& request : batch) {

@@ -55,7 +55,6 @@ struct ServiceCounters {
   std::atomic<std::uint64_t> requests_total{0};
   std::atomic<std::uint64_t> requests_evaluate{0};
   std::atomic<std::uint64_t> requests_rank{0};
-  std::atomic<std::uint64_t> requests_shard{0};
   std::atomic<std::uint64_t> unauthorized_401{0};
   std::atomic<std::uint64_t> requests_health{0};
   std::atomic<std::uint64_t> requests_stats{0};
@@ -78,13 +77,12 @@ struct ServiceCounters {
 
 /// One admitted compute request waiting for a worker.
 struct QueuedRequest {
-  enum class Kind : std::uint8_t { evaluate, rank, shard };
+  enum class Kind : std::uint8_t { evaluate, rank };
 
   Kind kind = Kind::evaluate;
   bool binary = false;       ///< answer with a binproto frame, not JSON
   EvaluateRequest evaluate;  ///< valid when kind == evaluate
   RankRequest rank;          ///< valid when kind == rank
-  exp::ShardSpec shard;      ///< valid when kind == shard
   tenant::TenantId tenant = tenant::kInvalidTenant;  ///< anonymous by default
   double tenant_weight = 1.0;  ///< DRR credit per ring pass (registry weight)
   std::chrono::steady_clock::time_point deadline;

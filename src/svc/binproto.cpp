@@ -377,12 +377,4 @@ std::string rank_body_bin(const RankRequest& request,
   return encode_frame(std::move(resp));
 }
 
-std::string shard_body_bin(const exp::ShardSpec& shard,
-                           const cloud::Platform& platform) {
-  BinShardResponse resp;
-  resp.shard_id = shard.shard_id;
-  resp.rows = shard_rows(shard, platform);
-  return encode_frame(std::move(resp));
-}
-
 }  // namespace cloudwf::svc

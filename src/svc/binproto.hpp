@@ -122,9 +122,4 @@ class BinProtoError : public std::runtime_error {
                                         const cloud::Platform& platform,
                                         EvalCache* cache = nullptr);
 
-/// Body of a binary /v1/shard response, from the same handler rows as the
-/// JSON body.
-[[nodiscard]] std::string shard_body_bin(const exp::ShardSpec& shard,
-                                         const cloud::Platform& platform);
-
 }  // namespace cloudwf::svc

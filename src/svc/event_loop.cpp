@@ -33,7 +33,18 @@ void uncount(std::atomic<std::uint64_t>* counter) {
 
 }  // namespace
 
-Listener open_listener(std::uint32_t ipv4_address, std::uint16_t port) {
+Listener open_listener(const std::string& bind_address, std::uint16_t port,
+                       const std::string& auth_token) {
+  in_addr address{};
+  if (::inet_pton(AF_INET, bind_address.c_str(), &address) != 1)
+    throw std::runtime_error("bad bind address '" + bind_address +
+                             "' (expected IPv4 dotted quad)");
+  const bool loopback = (ntohl(address.s_addr) >> 24) == 127;  // 127.0.0.0/8
+  if (!loopback && auth_token.empty())
+    throw std::runtime_error(
+        "refusing to bind non-loopback address '" + bind_address +
+        "' without an auth token (set --auth-token)");
+
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0)
@@ -43,7 +54,7 @@ Listener open_listener(std::uint32_t ipv4_address, std::uint16_t port) {
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(ipv4_address);
+  addr.sin_addr = address;
   addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     const std::string err = std::strerror(errno);

@@ -44,11 +44,16 @@ struct Listener {
   std::uint16_t port = 0;  ///< resolved when the requested port was 0
 };
 
-/// Binds and listens on `ipv4_address` (host byte order) : `port` (0 =
+/// Binds and listens on `bind_address` (an IPv4 dotted quad) : `port` (0 =
 /// ephemeral) with SO_REUSEADDR — the socket EventLoop::Config::listen_fd
-/// expects. Throws std::runtime_error naming the failing call.
-[[nodiscard]] Listener open_listener(std::uint32_t ipv4_address,
-                                     std::uint16_t port);
+/// expects. Every server binds through here, so one rule holds for all of
+/// them: an address outside loopback is refused unless `auth_token` is
+/// set, because a server a network can reach must authenticate its callers.
+/// Throws std::runtime_error for a malformed address, that refusal, or the
+/// failing socket call.
+[[nodiscard]] Listener open_listener(const std::string& bind_address,
+                                     std::uint16_t port,
+                                     const std::string& auth_token);
 
 /// Per-loop observability counters, surfaced under "event_loops" on /stats.
 /// Relaxed atomics: statistics, not synchronization.

@@ -168,45 +168,4 @@ std::string rank_body(const RankRequest& request,
   return body.dump();
 }
 
-std::vector<exp::SweepRow> shard_rows(const exp::ShardSpec& shard,
-                                      const cloud::Platform& platform) {
-  obs::PhaseScope phase("svc: shard");
-  try {
-    return exp::run_shard(shard, platform);
-  } catch (const std::invalid_argument& e) {
-    throw BadRequest(e.what());
-  }
-}
-
-util::Json sweep_row_json(const exp::SweepRow& row) {
-  util::Json out = util::Json::object();
-  out["seed"] = static_cast<std::int64_t>(row.seed);
-  out["strategy"] = row.strategy;
-  out["makespan_us"] = row.makespan_us;
-  out["vm_cost_micros"] = row.vm_cost_micros;
-  out["egress_cost_micros"] = row.egress_cost_micros;
-  out["total_cost_micros"] = row.total_cost_micros;
-  out["idle_us"] = row.idle_us;
-  out["busy_us"] = row.busy_us;
-  out["vms_used"] = static_cast<std::int64_t>(row.vms_used);
-  out["total_btus"] = row.total_btus;
-  out["utilization_ppm"] = row.utilization_ppm;
-  out["gain_pct_ppm"] = row.gain_pct_ppm;
-  out["loss_pct_ppm"] = row.loss_pct_ppm;
-  return out;
-}
-
-std::string shard_body(const exp::ShardSpec& shard,
-                       const cloud::Platform& platform) {
-  util::Json rows = util::Json::array();
-  for (const exp::SweepRow& row : shard_rows(shard, platform))
-    rows.push_back(sweep_row_json(row));
-
-  util::Json body = util::Json::object();
-  body["endpoint"] = "shard";
-  body["shard_id"] = static_cast<std::int64_t>(shard.shard_id);
-  body["rows"] = std::move(rows);
-  return body.dump();
-}
-
 }  // namespace cloudwf::svc

@@ -71,20 +71,4 @@ struct ResultRow {
                                     const cloud::Platform& platform,
                                     EvalCache* cache = nullptr);
 
-/// Rows of a /v1/shard answer: the shard's cells in canonical grid order,
-/// in integer fixed point (exp::run_shard — one materialization and one
-/// reference run per (workflow, scenario, seed) group).
-[[nodiscard]] std::vector<exp::SweepRow> shard_rows(
-    const exp::ShardSpec& shard, const cloud::Platform& platform);
-
-/// One sweep row as the JSON shard response reports it. Every field is an
-/// integer (micros / ppm) — shard responses must merge bit-identically
-/// across the wire, so no float ever travels.
-[[nodiscard]] util::Json sweep_row_json(const exp::SweepRow& row);
-
-/// Body of a /v1/shard response:
-///   {"shard_id":N,"rows":[{...integer fields...}]}
-[[nodiscard]] std::string shard_body(const exp::ShardSpec& shard,
-                                     const cloud::Platform& platform);
-
 }  // namespace cloudwf::svc

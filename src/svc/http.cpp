@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -33,6 +34,21 @@ std::string_view trim(std::string_view s) {
 std::string_view HttpRequest::header(const std::string& name) const {
   const auto it = headers.find(name);
   return it == headers.end() ? std::string_view{} : std::string_view(it->second);
+}
+
+bool authorized(const HttpRequest& request, const std::string& token) {
+  if (token.empty()) return true;
+  const std::string_view provided = request.header("x-auth-token");
+  std::size_t diff = provided.size() ^ token.size();
+  const std::size_t n = std::max(provided.size(), token.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char a =
+        i < provided.size() ? static_cast<unsigned char>(provided[i]) : 0;
+    const unsigned char b =
+        i < token.size() ? static_cast<unsigned char>(token[i]) : 0;
+    diff |= static_cast<unsigned>(a ^ b);
+  }
+  return diff == 0;
 }
 
 bool HttpRequest::keep_alive() const {

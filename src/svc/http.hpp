@@ -5,8 +5,8 @@
 // parser (request line + headers + Content-Length body, bounded sizes) that
 // svc::EventLoop runs on each connection's inbound bytes — pipelined
 // requests are consumed one at a time — a response serializer, and a
-// blocking keep-alive client used by `cloudwf worker`, the push-mode
-// transport, the load generator, the benches and the tests. No TLS and no
+// blocking keep-alive client used by `cloudwf worker`, the load
+// generator, the benches and the tests. No TLS and no
 // chunked encoding: `cloudwf serve` and the sweep coordinator speak JSON or
 // binary frames over POST/GET with explicit Content-Length.
 #pragma once
@@ -35,6 +35,14 @@ struct HttpRequest {
   /// default unless "Connection: close").
   [[nodiscard]] bool keep_alive() const;
 };
+
+/// The shared-secret check of every server: true when `token` is empty
+/// (no secret configured) or the request's X-Auth-Token equals it. The
+/// comparison runs in constant time — it always covers every byte of both
+/// strings, so response timing leaks nothing about how long a prefix of the
+/// secret a probe matched.
+[[nodiscard]] bool authorized(const HttpRequest& request,
+                              const std::string& token);
 
 struct HttpResponse {
   int status = 200;

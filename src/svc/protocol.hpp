@@ -79,33 +79,35 @@ void validate_workflow_name(const std::string& name);
 /// Decodes a /v1/rank body.
 [[nodiscard]] RankRequest decode_rank(const util::Json& body);
 
-/// Decodes a /v1/shard body (the distributed fabric's unit of work):
+/// Decodes a shard spec (the distributed fabric's unit of work, the body
+/// of a 200 answer to POST /v1/shard/lease):
 ///   {"shard_id":N,"cell_begin":B,"cell_end":E,
 ///    "grid":{"workflows":[...],"scenarios":[...],"strategies":[...],
 ///            "seed_begin":S,"seed_end":T}}
 /// Schema checks only; grid semantics (known workflows/strategies, cell
-/// caps) are validated at the server boundary via validate_shard so the
-/// JSON and binary paths refuse identical requests.
+/// caps) are validate_shard's.
 [[nodiscard]] exp::ShardSpec decode_shard(const util::Json& body);
 
-/// The canonical JSON encoding of a shard spec — what the coordinator
-/// POSTs to /v1/shard and what the pull-mode lease endpoint hands a worker.
+/// The canonical JSON encoding of a shard spec — what the coordinator's
+/// lease route hands a worker.
 [[nodiscard]] std::string shard_request_body(const exp::ShardSpec& shard);
 
-/// Semantic admission checks for a decoded shard (either protocol): the
-/// grid must validate, the cell range must lie inside it, and one shard may
-/// not carry more than kMaxCellsPerShard cells. Throws BadRequest.
+/// Semantic checks a worker runs on a leased shard: the grid must
+/// validate, the cell range must lie inside it, and one shard may not carry
+/// more than kMaxCellsPerShard cells. Throws BadRequest.
 void validate_shard(const exp::ShardSpec& shard);
 
-/// A decoded shard answer (JSON side; the binary side is BinShardResponse).
+/// A shard's answer in JSON form (the binary form is BinShardResponse).
 struct ShardResult {
   std::uint64_t shard_id = 0;
   std::vector<exp::SweepRow> rows;
 };
 
-/// Decodes a /v1/shard response body ({"shard_id":N,"rows":[...]}) — the
-/// coordinator-side counterpart of shard_body. Every row field is a
-/// required integer; anything else throws BadRequest.
+/// Decodes the JSON body of POST /v1/shard/result:
+///   {"shard_id":N,"rows":[{"seed":S,"strategy":"...","makespan_us":M,...}]}
+/// with one row per exp::SweepRow field. Every row field is a required
+/// integer (micros / ppm) — results must merge bit-identically across the
+/// wire, so no float ever travels; anything else throws BadRequest.
 [[nodiscard]] ShardResult decode_shard_result(const util::Json& body);
 
 /// {"error": message} — the uniform error body.
@@ -115,8 +117,8 @@ struct ShardResult {
 /// level: a single request cannot smuggle in an unbounded sweep).
 inline constexpr std::size_t kMaxSeedsPerRequest = 256;
 
-/// Cap on one shard's cell count — a shard is a batch job, but still one
-/// HTTP request whose response must fit in memory.
+/// Cap on one shard's cell count — a shard is a batch job, but its rows
+/// still travel back in one HTTP request.
 inline constexpr std::uint64_t kMaxCellsPerShard = 65536;
 
 }  // namespace cloudwf::svc

@@ -1,10 +1,7 @@
 #include "svc/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -42,37 +39,11 @@ void validate_rank(const RankRequest& request) {
   validate_workflow_name(request.workflow);
 }
 
-/// Constant-time token comparison: the scan always covers every byte of
-/// both strings, so response timing leaks nothing about how long a prefix
-/// of the secret a probe matched.
-bool token_equal(std::string_view provided, std::string_view expected) {
-  std::size_t diff = provided.size() ^ expected.size();
-  const std::size_t n = std::max(provided.size(), expected.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned char a = i < provided.size()
-                                ? static_cast<unsigned char>(provided[i])
-                                : 0;
-    const unsigned char b = i < expected.size()
-                                ? static_cast<unsigned char>(expected[i])
-                                : 0;
-    diff |= static_cast<unsigned>(a ^ b);
-  }
-  return diff == 0;
-}
-
 /// Cache key: the full request identity. Two requests with equal keys are
 /// guaranteed byte-identical answers (deterministic handlers).
 std::string compute_cache_key(bool binary, QueuedRequest::Kind kind,
                               const QueuedRequest& queued) {
   std::string key = binary ? "bin|" : "json|";
-  if (kind == QueuedRequest::Kind::shard) {
-    // A shard's identity is its slice plus the full grid; re-encoding the
-    // spec canonically makes equal shards hit regardless of how the client
-    // formatted the request body.
-    key += "shard|";
-    key += shard_request_body(queued.shard);
-    return key;
-  }
   if (kind == QueuedRequest::Kind::evaluate) {
     const EvaluateRequest& req = queued.evaluate;
     key += "evaluate|" + req.workflow + '|';
@@ -101,18 +72,8 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (started_) throw std::logic_error("Server::start called twice");
-
-  in_addr address{};
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &address) != 1)
-    throw std::runtime_error("bad bind address '" + config_.bind_address +
-                             "' (expected IPv4 dotted quad)");
-  const std::uint32_t ipv4 = ntohl(address.s_addr);
-  const bool loopback = (ipv4 >> 24) == 127;  // 127.0.0.0/8
-  if (!loopback && config_.auth_token.empty())
-    throw std::runtime_error(
-        "refusing to bind non-loopback address '" + config_.bind_address +
-        "' without an auth token (set --auth-token)");
-  const Listener listener = open_listener(ipv4, config_.port);
+  const Listener listener =
+      open_listener(config_.bind_address, config_.port, config_.auth_token);
   listen_fd_ = listener.fd;
   port_ = listener.port;
   started_ = true;
@@ -174,8 +135,7 @@ bool Server::dispatch(HttpRequest&& request, HttpResponse& sync,
   // Shared-secret gate: everything but the liveness probe requires the
   // token when one is configured. Checked before any routing or parsing so
   // unauthenticated bodies are never decoded.
-  if (!config_.auth_token.empty() && request.target != "/health" &&
-      !token_equal(request.header("x-auth-token"), config_.auth_token)) {
+  if (!authorized(request, config_.auth_token) && request.target != "/health") {
     counters_.unauthorized_401.fetch_add(1, std::memory_order_relaxed);
     sync.status = 401;
     sync.body = error_body("missing or bad X-Auth-Token");
@@ -211,15 +171,12 @@ bool Server::dispatch(HttpRequest&& request, HttpResponse& sync,
   if (request.target == "/v1/rank")
     return handle_compute(std::move(request), QueuedRequest::Kind::rank, sync,
                           std::move(done));
-  if (request.target == "/v1/shard")
-    return handle_compute(std::move(request), QueuedRequest::Kind::shard, sync,
-                          std::move(done));
 
   counters_.not_found_404.fetch_add(1, std::memory_order_relaxed);
   sync.status = 404;
   sync.body = error_body(
       "unknown endpoint '" + request.target +
-      "' (/health, /stats, /v1/tenants, /v1/evaluate, /v1/rank, /v1/shard)");
+      "' (/health, /stats, /v1/tenants, /v1/evaluate, /v1/rank)");
   return true;
 }
 
@@ -244,9 +201,7 @@ std::optional<tenant::TenantId> Server::resolve_tenant(
 bool Server::handle_compute(HttpRequest&& request, QueuedRequest::Kind kind,
                             HttpResponse& sync, EventLoop::Completion done) {
   const bool is_eval = kind == QueuedRequest::Kind::evaluate;
-  const bool is_shard = kind == QueuedRequest::Kind::shard;
-  (is_shard ? counters_.requests_shard
-            : is_eval ? counters_.requests_evaluate : counters_.requests_rank)
+  (is_eval ? counters_.requests_evaluate : counters_.requests_rank)
       .fetch_add(1, std::memory_order_relaxed);
 
   const bool binary = request.header("content-type") == kBinaryContentType;
@@ -273,7 +228,7 @@ bool Server::handle_compute(HttpRequest&& request, QueuedRequest::Kind kind,
     if (binary) return fail(400, "unknown tenant — register it via POST /v1/tenants");
     return true;
   }
-  if (*tid != tenant::kInvalidTenant && !is_shard) {
+  if (*tid != tenant::kInvalidTenant) {
     const std::lock_guard<std::mutex> lock(tenants_mutex_);
     (is_eval ? tenant_usage_[*tid].evaluate : tenant_usage_[*tid].rank) += 1;
   }
@@ -286,13 +241,7 @@ bool Server::handle_compute(HttpRequest&& request, QueuedRequest::Kind kind,
   try {
     if (binary) {
       BinFrame frame = decode_frame(request.body);
-      if (is_shard) {
-        auto* decoded = std::get_if<exp::ShardSpec>(&frame);
-        if (decoded == nullptr)
-          throw BadRequest("expected a shard_request frame");
-        queued.shard = std::move(*decoded);
-        validate_shard(queued.shard);
-      } else if (is_eval) {
+      if (is_eval) {
         auto* decoded = std::get_if<EvaluateRequest>(&frame);
         if (decoded == nullptr)
           throw BadRequest("expected an evaluate_request frame");
@@ -306,10 +255,7 @@ bool Server::handle_compute(HttpRequest&& request, QueuedRequest::Kind kind,
       }
     } else {
       const util::Json body = util::Json::parse(request.body);
-      if (is_shard) {
-        queued.shard = decode_shard(body);
-        validate_shard(queued.shard);
-      } else if (is_eval) {
+      if (is_eval) {
         queued.evaluate = decode_evaluate(body);
         validate_strategy_label(queued.evaluate.strategy);
       } else {
@@ -461,7 +407,6 @@ std::string Server::stats_body() const {
   service["requests_total"] = count(counters_.requests_total);
   service["requests_evaluate"] = count(counters_.requests_evaluate);
   service["requests_rank"] = count(counters_.requests_rank);
-  service["requests_shard"] = count(counters_.requests_shard);
   service["unauthorized_401"] = count(counters_.unauthorized_401);
   service["requests_health"] = count(counters_.requests_health);
   service["requests_stats"] = count(counters_.requests_stats);

@@ -1,7 +1,7 @@
 // ShardTracker unit tests: lease lifecycle, expiry re-issue, straggler
-// speculation, first-completion-wins, failure requeue and dead-sweep
-// detection — the bookkeeping that lets the fabric survive lost workers
-// without ever merging a wrong or duplicate answer.
+// speculation, first-completion-wins and dead-sweep detection — the
+// bookkeeping that lets the fabric survive lost workers without ever
+// merging a wrong or duplicate answer.
 #include "dist/tracker.hpp"
 
 #include <gtest/gtest.h>
@@ -47,9 +47,9 @@ exp::SweepRow marker_row(std::uint64_t id) {
 }
 
 TEST(ShardTracker, GrantsPendingShardsInOrderThenWaits) {
-  TrackerConfig config;
-  config.speculative = false;
-  ShardTracker tracker(make_shards(3), config);
+  // The default 30 s lease window: half of it (when speculation may start)
+  // is far beyond this test.
+  ShardTracker tracker(make_shards(3));
 
   for (std::uint64_t i = 0; i < 3; ++i) {
     const Acquired got = tracker.acquire();
@@ -91,34 +91,14 @@ TEST(ShardTracker, ResultsThrowBeforeAllDone) {
   EXPECT_THROW((void)tracker.results(), std::logic_error);
 }
 
-TEST(ShardTracker, FailRequeuesImmediately) {
-  TrackerConfig config;
-  config.lease_timeout = std::chrono::hours(1);  // the clock never helps
-  config.speculative = false;
-  ShardTracker tracker(make_shards(1), config);
-
-  ASSERT_EQ(tracker.acquire().status, AcquireStatus::granted);
-  EXPECT_EQ(tracker.acquire().status, AcquireStatus::wait);
-  tracker.fail(0);  // dead transport: no waiting for expiry
-  const Acquired again = tracker.acquire();
-  ASSERT_EQ(again.status, AcquireStatus::granted);
-  EXPECT_EQ(again.shard.shard_id, 0u);
-  EXPECT_TRUE(tracker.complete(0, {marker_row(1)}));
-  EXPECT_TRUE(tracker.all_done());
-
-  const TrackerStats stats = tracker.stats();
-  EXPECT_EQ(stats.failures_reported, 1u);
-  EXPECT_EQ(stats.leases_granted, 2u);
-}
-
 TEST(ShardTracker, ExpiredLeaseIsReissued) {
   TrackerConfig config;
   config.lease_timeout = std::chrono::milliseconds(30);
-  config.speculative = false;
   ShardTracker tracker(make_shards(1), config);
 
   ASSERT_EQ(tracker.acquire().status, AcquireStatus::granted);
-  // A killed worker never calls fail(); its lease simply times out.
+  // A killed worker never reports; its lease simply times out. An expired
+  // lease is re-issued as such, ahead of any speculation.
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   const Acquired again = tracker.acquire();
   ASSERT_EQ(again.status, AcquireStatus::granted);
@@ -129,7 +109,6 @@ TEST(ShardTracker, ExpiredLeaseIsReissued) {
 TEST(ShardTracker, StragglerIsSpeculativelyDoubleRun) {
   TrackerConfig config;
   config.lease_timeout = std::chrono::milliseconds(400);
-  config.speculative = true;
   ShardTracker tracker(make_shards(1), config);
 
   ASSERT_EQ(tracker.acquire().status, AcquireStatus::granted);
@@ -153,18 +132,20 @@ TEST(ShardTracker, StragglerIsSpeculativelyDoubleRun) {
 
 TEST(ShardTracker, ExhaustedAttemptsMarkSweepDead) {
   TrackerConfig config;
-  config.lease_timeout = std::chrono::hours(1);
+  config.lease_timeout = std::chrono::milliseconds(30);
   config.max_attempts = 2;
-  config.speculative = false;
   ShardTracker tracker(make_shards(1), config);
 
+  // Both attempts are granted and both workers are lost: each lease runs
+  // out, and no attempt is left to re-issue the shard.
   for (int attempt = 0; attempt < 2; ++attempt) {
     ASSERT_EQ(tracker.acquire().status, AcquireStatus::granted);
-    tracker.fail(0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
   }
+  EXPECT_EQ(tracker.acquire().status, AcquireStatus::done);
   EXPECT_TRUE(tracker.dead());
   EXPECT_FALSE(tracker.all_done());
-  EXPECT_EQ(tracker.acquire().status, AcquireStatus::done);
+  EXPECT_EQ(tracker.stats().reissues_expired, 1u);
   tracker.wait_finished();  // returns immediately on a dead sweep
 }
 
@@ -175,21 +156,19 @@ TEST(ShardTracker, RejectsDegenerateConfigs) {
   EXPECT_THROW(ShardTracker(make_shards(1), config), std::invalid_argument);
 }
 
-TEST(ShardTracker, BlockingAcquireWakesOnCompletion) {
+TEST(ShardTracker, WaitFinishedWakesOnCompletion) {
   ShardTracker tracker(make_shards(1));
-  const Acquired first = tracker.acquire_blocking();
-  ASSERT_EQ(first.status, AcquireStatus::granted);
+  ASSERT_EQ(tracker.acquire().status, AcquireStatus::granted);
 
   std::thread finisher([&tracker] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     EXPECT_TRUE(tracker.complete(0, {marker_row(1)}));
   });
-  // Blocks through the wait state, then reports done once the row lands.
-  const Acquired second = tracker.acquire_blocking();
-  EXPECT_EQ(second.status, AcquireStatus::done);
-  finisher.join();
+  // Blocks while the lease is out, then returns once the row lands.
   tracker.wait_finished();
   EXPECT_TRUE(tracker.all_done());
+  EXPECT_EQ(tracker.acquire().status, AcquireStatus::done);
+  finisher.join();
 }
 
 }  // namespace

@@ -73,6 +73,11 @@ TEST_F(ServiceTest, RoutingErrors) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 404);
 
+  // Shards go to the sweep coordinator's workers, not to the service.
+  response = post("/v1/shard", "{}");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 404);
+
   response = post("/health", "{}");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 405);

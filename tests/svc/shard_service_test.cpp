@@ -1,8 +1,9 @@
-// The /v1/shard endpoint and the wire representations behind it: JSON and
-// binary shard round trips against a live server, the SweepRow <->
-// BinResultRow pinning that keeps the fabric's fixed point lossless, shard
-// admission limits, and the auth-token gate (constant-time check, /health
-// exempt, non-loopback binds refuse to start without a token).
+// The shard wire representations the sweep fabric speaks (JSON and binary
+// shard specs and results, and the SweepRow <-> BinResultRow pinning that
+// keeps its fixed point lossless), shard admission limits, and the
+// auth-token gate both servers share: `cloudwf serve` and the sweep
+// coordinator check X-Auth-Token in constant time, and refuse to start on
+// a non-loopback bind without a token.
 #include "svc/binproto.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +14,14 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "cloud/platform.hpp"
+#include "dist/coordinator.hpp"
+#include "dist/worker.hpp"
 #include "exp/sweep_grid.hpp"
 #include "svc/http.hpp"
 #include "svc/protocol.hpp"
@@ -143,119 +147,6 @@ TEST(ShardWire, ValidateShardEnforcesGridAndCellCaps) {
   EXPECT_THROW(validate_shard(shard), BadRequest);
 }
 
-// --- the live endpoint ---------------------------------------------------
-
-class ShardServiceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ServerConfig config;
-    config.port = 0;
-    config.workers = 2;
-    server_ = std::make_unique<Server>(config);
-    server_->start();
-    ASSERT_TRUE(client_.connect("127.0.0.1", server_->port()));
-  }
-  void TearDown() override {
-    client_.disconnect();
-    if (server_) server_->stop();
-  }
-
-  std::unique_ptr<Server> server_;
-  HttpClient client_;
-};
-
-TEST_F(ShardServiceTest, JsonShardAnswersRunShardRows) {
-  const exp::ShardSpec shard = sample_shard();
-  const auto response =
-      client_.request("POST", "/v1/shard", shard_request_body(shard));
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200) << response->body;
-
-  const ShardResult result =
-      decode_shard_result(util::Json::parse(response->body));
-  EXPECT_EQ(result.shard_id, shard.shard_id);
-  // The served rows ARE the serial shard rows — same code path, bit for bit.
-  EXPECT_EQ(result.rows, exp::run_shard(shard, cloud::Platform::ec2()));
-}
-
-TEST_F(ShardServiceTest, BinaryShardAnswersIdenticalRows) {
-  const exp::ShardSpec shard = sample_shard();
-  const auto response =
-      client_.request("POST", "/v1/shard", encode_frame(shard), {},
-                      kBinaryContentType);
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-
-  const BinFrame frame = decode_frame(response->body);
-  const auto* decoded = std::get_if<BinShardResponse>(&frame);
-  ASSERT_NE(decoded, nullptr);
-  EXPECT_EQ(decoded->shard_id, shard.shard_id);
-
-  EXPECT_EQ(decoded->rows, exp::run_shard(shard, cloud::Platform::ec2()));
-}
-
-TEST_F(ShardServiceTest, RejectsBadShards) {
-  auto response = client_.request("GET", "/v1/shard");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 405);
-
-  exp::ShardSpec shard = sample_shard();
-  shard.cell_end = shard.grid.cell_count() + 5;  // out of the grid
-  response = client_.request("POST", "/v1/shard", shard_request_body(shard));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 400);
-
-  shard = sample_shard();
-  shard.grid.strategies = {"NoSuchStrategy"};
-  response = client_.request("POST", "/v1/shard", shard_request_body(shard));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 400);
-
-  response = client_.request("POST", "/v1/shard", "{not json");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 400);
-}
-
-TEST_F(ShardServiceTest, PhaseStatsStayBoundedAcrossShards) {
-  const auto phases = [this]() -> util::Json {
-    const auto response = client_.request("GET", "/stats");
-    if (!response) return util::Json::object();
-    const util::Json stats = util::Json::parse(response->body);
-    const util::Json* found = stats.find("phases");
-    return found ? *found : util::Json::object();
-  };
-  const auto phase_count = [&]() -> std::size_t {
-    return phases().as_object().size();
-  };
-  const auto serve = [this](const exp::ShardSpec& shard) {
-    const auto response =
-        client_.request("POST", "/v1/shard", shard_request_body(shard));
-    ASSERT_TRUE(response.has_value());
-    ASSERT_EQ(response->status, 200) << response->body;
-  };
-
-  // One shard over the whole grid touches every phase a slice of it can.
-  exp::ShardSpec whole = sample_shard();
-  whole.cell_begin = 0;
-  whole.cell_end = whole.grid.cell_count();
-  serve(whole);
-  // The batch worker closes its phase before handing the response back.
-  ASSERT_NE(phases().find("svc: batch shard"), nullptr);
-  (void)phase_count();  // the /stats request's own phase
-  const std::size_t before = phase_count();
-  ASSERT_GT(before, 0u);
-
-  // Many distinct slices of the same grid add no phase names.
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    exp::ShardSpec shard = whole;
-    shard.shard_id = 10 + i;
-    shard.cell_begin = i;
-    shard.cell_end = i + 2;
-    serve(shard);
-  }
-  EXPECT_EQ(phase_count(), before);
-}
-
 // --- the auth gate -------------------------------------------------------
 
 class AuthServiceTest : public ::testing::Test {
@@ -278,10 +169,11 @@ class AuthServiceTest : public ::testing::Test {
   HttpClient client_;
 };
 
+constexpr const char* kEvaluate =
+    R"({"workflow":"montage","strategy":"AllParExceed-m","seed":7})";
+
 TEST_F(AuthServiceTest, RequestsWithoutTokenAre401) {
-  const exp::ShardSpec shard = sample_shard();
-  auto response =
-      client_.request("POST", "/v1/shard", shard_request_body(shard));
+  auto response = client_.request("POST", "/v1/evaluate", kEvaluate);
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 401);
 
@@ -289,7 +181,7 @@ TEST_F(AuthServiceTest, RequestsWithoutTokenAre401) {
   for (const std::string bad :
        {"wrong", "sweep-fleet-secreT", "sweep-fleet-secre",
         "sweep-fleet-secret2"}) {
-    response = client_.request("POST", "/v1/shard", shard_request_body(shard),
+    response = client_.request("POST", "/v1/evaluate", kEvaluate,
                                {{"X-Auth-Token", bad}});
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->status, 401) << "token '" << bad << "' accepted";
@@ -298,14 +190,13 @@ TEST_F(AuthServiceTest, RequestsWithoutTokenAre401) {
 }
 
 TEST_F(AuthServiceTest, CorrectTokenIsAccepted) {
-  const exp::ShardSpec shard = sample_shard();
-  const auto response =
-      client_.request("POST", "/v1/shard", shard_request_body(shard),
-                      {{"X-Auth-Token", "sweep-fleet-secret"}});
+  const auto response = client_.request(
+      "POST", "/v1/evaluate", kEvaluate,
+      {{"X-Auth-Token", "sweep-fleet-secret"}});
   ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-  EXPECT_EQ(decode_shard_result(util::Json::parse(response->body)).shard_id,
-            shard.shard_id);
+  ASSERT_EQ(response->status, 200) << response->body;
+  const util::Json body = util::Json::parse(response->body);
+  EXPECT_EQ(body.find("results")->as_array().size(), 1u);
 }
 
 TEST_F(AuthServiceTest, HealthStaysOpenForProbes) {
@@ -330,6 +221,63 @@ TEST(AuthPolicy, NonLoopbackBindRequiresAToken) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 200);
   allowed.stop();
+}
+
+TEST(AuthPolicy, CoordinatorNonLoopbackBindRequiresAToken) {
+  dist::CoordinatorServer::Config config;
+  config.bind_address = "0.0.0.0";
+  dist::CoordinatorServer refused(sample_shard().grid, 2, config);
+  EXPECT_THROW(refused.start(), std::runtime_error);
+
+  config.auth_token = "secret";
+  dist::CoordinatorServer allowed(sample_shard().grid, 2, config);
+  allowed.start();
+  HttpClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", allowed.port()));
+  const auto response = client.request("POST", "/v1/shard/lease", "",
+                                       {{"X-Auth-Token", "secret"}});
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 200);
+  allowed.stop();
+}
+
+TEST(AuthPolicy, CoordinatorAnswers401WithoutTheToken) {
+  const cloud::Platform platform = cloud::Platform::ec2();
+  dist::CoordinatorServer::Config config;
+  config.auth_token = "sweep-fleet-secret";
+  dist::CoordinatorServer coordinator(sample_shard().grid, 2, config);
+  coordinator.start();
+
+  HttpClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", coordinator.port()));
+  auto response = client.request("POST", "/v1/shard/lease");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 401);
+  for (const std::string bad : {"wrong", "sweep-fleet-secreT",
+                                "sweep-fleet-secre", "sweep-fleet-secret2"}) {
+    response = client.request("POST", "/v1/shard/result", "{}",
+                              {{"X-Auth-Token", bad}});
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 401) << "token '" << bad << "' accepted";
+  }
+  client.disconnect();
+  EXPECT_EQ(coordinator.tracker().stats().leases_granted, 0u);
+
+  // A worker without the token is refused and says so; one with it runs
+  // the sweep to the serial rows.
+  dist::WorkerOptions options;
+  options.port = coordinator.port();
+  const dist::WorkerReport refused = dist::run_worker(options, platform);
+  EXPECT_EQ(refused.failure.rfind("401: ", 0), 0u) << refused.failure;
+  EXPECT_EQ(refused.shards_completed, 0u);
+
+  options.auth_token = "sweep-fleet-secret";
+  dist::WorkerReport report;
+  std::thread worker([&] { report = dist::run_worker(options, platform); });
+  const dist::SweepOutcome outcome = coordinator.finish();
+  worker.join();
+  EXPECT_TRUE(report.finished);
+  EXPECT_EQ(outcome.rows, exp::run_grid_serial(sample_shard().grid, platform));
 }
 
 }  // namespace

@@ -60,10 +60,9 @@ run --seeds sweep --seeds 0:bad
 run --seeds sweep --seeds x:4
 run --listen-port sweep --distributed --listen-port 99999
 run --shards sweep --distributed --listen-port 0 --shards 8.5
-run --shards-per-worker sweep --distributed --connect localhost:1 --shards-per-worker ""
-run --lease-timeout-ms sweep --distributed --connect localhost:1 --lease-timeout-ms 5s
-run --max-attempts sweep --distributed --connect localhost:1 --max-attempts many
-run "--connect port" sweep --distributed --connect localhost:port
+run --lease-timeout-ms sweep --distributed --listen-port 0 --lease-timeout-ms 5s
+run --max-attempts sweep --distributed --listen-port 0 --max-attempts many
+run "cloudwf worker --connect" sweep --distributed --connect localhost:1
 run "--connect port" worker --connect localhost:0
 run --delay-ms worker --connect localhost:1234 --delay-ms -10
 run --max-shards worker --connect localhost:1234 --max-shards 1k

@@ -21,12 +21,11 @@
 //                   [--bind ADDR] [--auth-token SECRET]
 //   cloudwf sweep   [--workflows a,b] [--scenarios s,t] [--strategies x,y]
 //                   [--seeds B:E] [--out FILE] [--verify]
-//                   [--distributed --connect host:port,... | --listen-port P]
-//                   [--shards N] [--shards-per-worker N]
-//                   [--lease-timeout-ms N] [--max-attempts N]
-//                   [--auth-token SECRET] [--json]
-//   cloudwf worker  --connect host:port [--delay-ms N] [--max-shards N]
-//                   [--poll-ms N]
+//                   [--distributed [--listen-port P] [--shards N]
+//                    [--lease-timeout-ms N] [--max-attempts N]
+//                    [--bind ADDR] [--auth-token SECRET]]
+//   cloudwf worker  --connect host:port [--auth-token SECRET]
+//                   [--delay-ms N] [--max-shards N] [--poll-ms N]
 //   cloudwf check   [--cases N] [--seed N] [--threads N] [--large-tasks N]
 //                   [--json]
 //   cloudwf constrained --workflow <name|file> [--deadline-factor F]
@@ -46,7 +45,6 @@
 #include <csignal>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -128,9 +126,9 @@ Args parse_args(int argc, char** argv) {
         name == "sigma" || name == "quota" || name == "quantum" ||
         name == "workflows" || name == "scenarios" || name == "strategies" ||
         name == "seeds" || name == "connect" || name == "listen-port" ||
-        name == "shards" || name == "shards-per-worker" ||
-        name == "lease-timeout-ms" || name == "max-attempts" ||
-        name == "auth-token" || name == "bind" || name == "delay-ms" ||
+        name == "shards" || name == "lease-timeout-ms" ||
+        name == "max-attempts" || name == "auth-token" || name == "bind" ||
+        name == "delay-ms" ||
         name == "max-shards" || name == "poll-ms" ||
         name == "deadline-factor" || name == "budget-factor" ||
         name == "iterations") {
@@ -533,8 +531,8 @@ int cmd_serve(const Args& args) {
             << config.max_queue << ", timeout "
             << config.request_timeout.count() << " ms"
             << (config.auth_token.empty() ? "" : ", auth required") << ")\n"
-            << "endpoints: GET /health, GET /stats, POST /v1/evaluate, "
-               "POST /v1/rank, POST /v1/shard — SIGTERM drains and exits\n"
+            << "endpoints: GET /health, GET /stats, /v1/tenants, "
+               "POST /v1/evaluate, POST /v1/rank — SIGTERM drains and exits\n"
             << std::flush;
 
   int signal_number = 0;
@@ -616,16 +614,24 @@ void print_sweep_stats(const dist::SweepOutcome& outcome) {
             << outcome.stats.leases_granted << " leases ("
             << outcome.stats.reissues_expired << " expired re-issues, "
             << outcome.stats.reissues_speculative << " speculative), "
-            << outcome.stats.duplicates_discarded << " duplicates, "
-            << outcome.stats.failures_reported << " failures\n";
+            << outcome.stats.duplicates_discarded << " duplicates\n";
 }
 
 // The full strategy x seed x scenario x workflow sweep, serial by default
-// or sharded across workers with --distributed. The canonical table goes to
-// stdout (or --out) and every diagnostic to stderr, so the serial and
-// distributed outputs of the same grid can be compared byte for byte —
-// that identity is the fabric's core guarantee and the CI smoke `cmp`s it.
+// or sharded across `cloudwf worker` processes with --distributed. The
+// canonical table goes to stdout (or --out) and every diagnostic to
+// stderr, so the serial and distributed outputs of the same grid can be
+// compared byte for byte — that identity is the fabric's core guarantee
+// and the CI smoke `cmp`s it.
 int cmd_sweep(const Args& args) {
+  // Workers connect to the coordinator, never the other way round: a
+  // silently ignored --connect would leave the sweep waiting for workers
+  // that never come.
+  if (args.option("connect"))
+    throw std::runtime_error(
+        "cloudwf sweep does not take --connect: start the coordinator with "
+        "--distributed --listen-port P and point workers at it with "
+        "cloudwf worker --connect host:P");
   const exp::SweepGridSpec grid = parse_grid(args);
   const cloud::Platform platform = cloud::Platform::ec2();
 
@@ -633,43 +639,26 @@ int cmd_sweep(const Args& args) {
   if (!args.flag("distributed")) {
     std::cerr << "cloudwf sweep: serial, " << grid.cell_count() << " cells\n";
     rows = exp::run_grid_serial(grid, platform);
-  } else if (const auto connect = args.option("connect")) {
-    // Push mode: drive a fleet of `cloudwf serve` instances over /v1/shard.
-    dist::CoordinatorOptions options;
-    options.tracker = parse_tracker(args);
-    if (const auto per = args.option("shards-per-worker"))
-      options.shards_per_worker =
-          util::parse_size(*per, "--shards-per-worker", 1);
-    std::vector<std::shared_ptr<dist::ShardTransport>> workers;
-    for (const std::string& spec : split_csv(*connect)) {
-      dist::HttpShardTransport::Options remote;
-      std::tie(remote.host, remote.port) = parse_host_port(spec);
-      remote.binary = !args.flag("json");
-      remote.auth_token = args.option("auth-token").value_or("");
-      workers.push_back(std::make_shared<dist::HttpShardTransport>(remote));
-    }
-    if (workers.empty())
-      throw std::runtime_error("--connect needs at least one host:port");
-    std::cerr << "cloudwf sweep: distributed push, " << grid.cell_count()
-              << " cells over " << workers.size() << " workers\n";
-    dist::SweepOutcome outcome =
-        dist::run_distributed(grid, workers, options);
-    print_sweep_stats(outcome);
-    rows = std::move(outcome.rows);
   } else {
-    // Pull mode: serve shard leases to `cloudwf worker` processes.
     dist::CoordinatorServer::Config config;
     config.tracker = parse_tracker(args);
     if (const auto port = args.option("listen-port"))
       config.port = util::parse_u16(*port, "--listen-port");
+    if (const auto bind = args.option("bind")) config.bind_address = *bind;
+    if (const auto token = args.option("auth-token"))
+      config.auth_token = *token;
     const std::size_t shard_count = util::parse_size(
         args.option("shards").value_or("8"), "--shards", 1, 1 << 20);
-    dist::CoordinatorServer server(exp::partition_grid(grid, shard_count),
-                                   config);
+    dist::CoordinatorServer server(grid, shard_count, config);
     server.start();
-    std::cerr << "cloudwf sweep: coordinator on 127.0.0.1:" << server.port()
-              << ", " << grid.cell_count() << " cells — waiting for workers "
-              << "(cloudwf worker --connect 127.0.0.1:" << server.port()
+    const std::string address =
+        config.bind_address + ':' + std::to_string(server.port());
+    std::cerr << "cloudwf sweep: coordinator on " << address << ", "
+              << grid.cell_count() << " cells in "
+              << server.tracker().shards().size()
+              << " shards — waiting for workers (cloudwf worker --connect "
+              << address
+              << (config.auth_token.empty() ? "" : " --auth-token ...")
               << ")\n";
     dist::SweepOutcome outcome = server.finish();
     print_sweep_stats(outcome);
@@ -702,7 +691,7 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-// Pull-mode worker: lease shards from a `cloudwf sweep --distributed`
+// Sweep worker: lease shards from a `cloudwf sweep --distributed`
 // coordinator, execute, stream rows back. --delay-ms and --max-shards are
 // the fault-injection knobs the failure tests and the CI smoke use (a
 // straggler, and a worker killed mid-sweep).
@@ -712,6 +701,7 @@ int cmd_worker(const Args& args) {
     throw std::runtime_error("cloudwf worker needs --connect host:port");
   dist::WorkerOptions options;
   std::tie(options.host, options.port) = parse_host_port(*connect);
+  if (const auto token = args.option("auth-token")) options.auth_token = *token;
   if (const auto ms = args.option("delay-ms"))
     options.delay_per_shard =
         std::chrono::milliseconds(util::parse_u64(*ms, "--delay-ms"));
@@ -726,6 +716,11 @@ int cmd_worker(const Args& args) {
             << report.shards_duplicate << " duplicate, "
             << report.shards_failed << " failed"
             << (report.finished ? ", sweep finished" : "") << '\n';
+  if (!report.failure.empty()) {
+    std::cerr << "cloudwf worker: coordinator refused a lease: "
+              << report.failure << '\n';
+    return 1;
+  }
   // Success = the sweep finished or this worker contributed work before
   // exiting (a --max-shards budget exit, or the coordinator went away after
   // accepting results). Connecting and doing nothing is the failure case.
@@ -930,9 +925,10 @@ constexpr const char* kUsage =
     "  serve      long-running HTTP simulation service (--port, --workers,\n"
     "             --bind, --auth-token)\n"
     "  sweep      full strategy x seed x scenario grid, serial or sharded\n"
-    "             (--workflows, --seeds B:E; --distributed with --connect\n"
-    "             host:port,... or --listen-port for cloudwf worker pulls)\n"
-    "  worker     pull-mode sweep worker (--connect host:port)\n"
+    "             (--workflows, --seeds B:E; --distributed --listen-port P\n"
+    "             coordinates cloudwf worker processes)\n"
+    "  worker     distributed sweep worker (--connect host:port,\n"
+    "             --auth-token)\n"
     "  check      randomized differential + oracle sweep (--cases, --seed)\n"
     "  mtsim      multi-tenant shared-pool simulation (--tenants, --policy,\n"
     "             --arrival, --jobs, --quota; oracle-checked and billed)\n"
